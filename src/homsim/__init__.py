@@ -10,7 +10,6 @@ from .bath import (
     BathSpec,
     DecoherenceValue,
     GammaMethod,
-    GammaTable,
     QuadratureError,
     gamma_closed,
     gamma_closed_array,
@@ -25,6 +24,8 @@ from .dynamics import (
     ConditionalState,
     Detector,
     SourceConfig,
+    coherence,
+    coherence_factor,
     conditional_state,
     first_click_density,
     second_click_density,

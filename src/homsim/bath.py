@@ -12,26 +12,38 @@ and the dephasing phase accumulated between detection times t1 <= t2 is
     Lambda(t1, t2) = int_0^inf (J(w)/w^2)
                      (w tau + 2 sin(w t1) - 2 sin(w t2) + sin(w tau)) dw,
 
-with tau = t2 - t1.  Both are evaluated here by adaptive quadrature; for the
-ohmic (n=1), superohmic (n=3) and Markovian cases exact closed forms are
-provided as well.
+with tau = t2 - t1.  Both are evaluated here by adaptive quadrature, which is
+the test oracle, and by one exact vectorized kernel each, which everything
+else uses:
+
+- Gamma, n > 1: expanding coth(theta w / 2) = 1 + 2 sum_m e^{-m theta w}
+  gives, with s = n - 1 and a_m = 1 + m theta,
+
+      Gamma = A Gamma(s) sum_m c_m [a_m^{-s} - Re (a_m + i tau)^{-s}],
+
+  c_0 = 1, c_m = 2.  The first terms are summed directly and the tail is
+  taken from the Euler-Maclaurin formula, whose derivatives are again such
+  differences of powers.
+- Gamma, n = 1 (ohmic): the same sum in closed form through the log-gamma
+  function; Markovian baths follow the rate law A pi tau / theta.
+- Lambda: the sine transform of J/w^2 is S(t) = A Gamma(s) Im (1 - i t)^{-s}
+  (A atan t for n = 1), and Lambda = A tau Gamma(n) + 2 S(t1) - 2 S(t2) + S(tau).
 
 Closed-form note: the commonly quoted ohmic form A ln(1 + tau^2) overstates
 the vacuum contribution of the integral above by a factor of two; the correct
 value is (A/2) ln(1 + tau^2).  Likewise the familiar thermal terms
 A ln(sinh(pi tau/theta)/(pi tau/theta)) (ohmic) and A pi^2/(3 theta^2)
 (superohmic, long-time) are theta >> 1 limits that ignore the exponential
-cutoff inside the thermal integrand.  The closed forms implemented here keep
-the cutoff exactly, via the log-gamma function (ohmic) and a cutoff-shifted
-Matsubara-like sum (superohmic), and agree with the quadrature to machine
-precision at all temperatures.
+cutoff inside the thermal integrand.  The kernels here keep the cutoff
+exactly and agree with the quadrature to machine precision at all
+temperatures.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, special
@@ -41,7 +53,6 @@ __all__ = [
     "BathSpec",
     "DecoherenceValue",
     "GammaMethod",
-    "GammaTable",
     "QuadratureError",
     "gamma_closed",
     "gamma_closed_array",
@@ -58,6 +69,19 @@ _OMEGA_MAX = 60.0
 _QUAD_OPTS = {"limit": 400, "epsabs": 1e-12, "epsrel": 1e-12}
 # gamma_quadrature must reach this bound or report failure.
 _ERR_CEILING = 1e-9
+
+# Thermal series (see _series_gamma).  Row r is a^-p - Re (a + i tau)^-p with
+# p = s + j, j = _ORDER[r], a = 1 + theta _ROW_M[r] and weight
+# _ROW_WEIGHT[r] theta^j (s)_j: first the direct terms m < _M_DIRECT
+# (c_0 = 1, c_m = 2), then the Euler-Maclaurin tail from m = _M_DIRECT, its
+# half end term and its corrections 2 B_2k / (2k)!, j = 2k - 1.
+_M_DIRECT = 25
+_ORDER = np.r_[np.zeros(_M_DIRECT + 1), 1, 3, 5, 7, 9]
+_ROW_M = np.r_[np.arange(_M_DIRECT), np.full(6, _M_DIRECT)]
+_ROW_WEIGHT = np.r_[1.0, np.full(_M_DIRECT - 1, 2.0), 1.0,
+                    1 / 6, -1 / 360, 1 / 15120, -1 / 604800, 1 / 23950080]
+# tau values per evaluation block, which bounds the kernel's memory
+_BLOCK = 4096
 
 
 class QuadratureError(RuntimeError):
@@ -81,7 +105,8 @@ class BathSpec:
 
     ``n`` is the spectral exponent and is only free for POWER_LAW baths;
     it is pinned to 1 (ohmic), 3 (superohmic) or None (Markovian) otherwise.
-    A = 0 is allowed and means no dephasing at all.
+    A = 0 is allowed and means no dephasing at all.  Every parameter must be
+    finite.
     """
 
     family: BathFamily
@@ -90,10 +115,10 @@ class BathSpec:
     n: float | None = None
 
     def __post_init__(self):
-        if self.A < 0:
-            raise ValueError(f"coupling A must be >= 0, got {self.A}")
-        if not self.theta > 0:
-            raise ValueError(f"theta must be > 0, got {self.theta}")
+        if not 0 <= self.A < math.inf:
+            raise ValueError(f"coupling A must be finite and >= 0, got {self.A}")
+        if not 0 < self.theta < math.inf:
+            raise ValueError(f"theta must be finite and > 0, got {self.theta}")
         family = BathFamily(self.family)
         object.__setattr__(self, "family", family)
         pinned = {BathFamily.OHMIC: 1.0, BathFamily.SUPEROHMIC: 3.0,
@@ -101,8 +126,8 @@ class BathSpec:
         if family in pinned:
             object.__setattr__(self, "n", pinned[family])
         else:
-            if self.n is None or not self.n > 0:
-                raise ValueError("PowerLaw bath needs a positive exponent n")
+            if self.n is None or not 0 < self.n < math.inf:
+                raise ValueError("PowerLaw bath needs a finite positive exponent n")
             object.__setattr__(self, "n", float(self.n))
 
 
@@ -150,7 +175,10 @@ def gamma_quadrature(bath: BathSpec, tau: float) -> DecoherenceValue:
 
     The integrand (J/w^2)(1-cos w tau) coth(theta w/2) has a removable
     w -> 0 singularity (it behaves as A tau^2 w^{n-1} / theta); the
-    oscillatory tail is handled with a cosine-weighted rule.
+    oscillatory tail is handled with a cosine-weighted rule.  The thermal
+    factor turns over at the knee w = 2/theta and is flat to 1e-17 beyond
+    40/theta; panels are split at both points, so that no panel is wide
+    enough for its error estimate to miss the turnover.
     """
     _require_integrable(bath, "gamma_quadrature")
     if tau < 0:
@@ -170,119 +198,107 @@ def gamma_quadrature(bath: BathSpec, tau: float) -> DecoherenceValue:
 
     # Keep at most a couple of oscillations in the directly-integrated head.
     cut = min(1.0, 10.0 / max(tau, 1.0))
-    head, e1 = integrate.quad(full, 0.0, cut, **_QUAD_OPTS)
-    flat, e2 = integrate.quad(envelope, cut, _OMEGA_MAX, **_QUAD_OPTS)
-    osc, e3 = integrate.quad(envelope, cut, _OMEGA_MAX,
-                             weight="cos", wvar=tau, **_QUAD_OPTS)
-    err = e1 + e2 + e3
+    knees = {2.0 / theta, 40.0 / theta}
+    head = sorted({0.0, cut} | {k for k in knees if k < cut})
+    tail = sorted({cut, _OMEGA_MAX} | {k for k in knees if cut < k < _OMEGA_MAX})
+    parts = [integrate.quad(full, lo, hi, **_QUAD_OPTS)
+             for lo, hi in zip(head, head[1:])]
+    for lo, hi in zip(tail, tail[1:]):
+        parts.append(integrate.quad(envelope, lo, hi, **_QUAD_OPTS))
+        osc, e = integrate.quad(envelope, lo, hi, weight="cos", wvar=tau,
+                                **_QUAD_OPTS)
+        parts.append((-osc, e))
+    value = math.fsum(v for v, _ in parts)
+    err = sum(e for _, e in parts)
     if not err <= _ERR_CEILING:
         raise QuadratureError(
             f"gamma quadrature reached only {err:.3e} absolute error", err)
-    value = head + flat - osc
     return DecoherenceValue(max(value, 0.0), GammaMethod.QUADRATURE, err)
 
 
 def _ohmic_gamma(A, theta, tau):
     a = 1.0 / theta
     vacuum = 0.5 * A * np.log1p(tau * tau)
-    thermal = 2.0 * A * (special.loggamma(1.0 + a).real
+    # both terms through the complex loggamma, so that tau = 0 gives exactly 0
+    thermal = 2.0 * A * (special.loggamma(1.0 + a + 0j).real
                          - special.loggamma(1.0 + a + 1j * tau / theta).real)
     return vacuum + thermal
 
 
-def _superohmic_tail_terms(theta, tau_max):
-    # Truncation M with analytic tail correction sum_{m>M} 3 tau^2/a^4;
-    # residual after the correction is far below 1e-12.
-    t2 = tau_max * tau_max
-    m_needed = max(2000.0, 20.0 * tau_max / theta,
-                   (t2 / (theta ** 4 * 1e-13)) ** (1.0 / 3.0))
-    return int(m_needed) + 1
+def _rel_gap(p, x):
+    """1 - Re (1 + i x)^-p, free of cancellation at small x.
 
-
-def _superohmic_gamma(A, theta, tau):
-    t2 = tau * tau
-    vacuum = A * t2 * (3.0 + t2) / (1.0 + t2) ** 2
-    M = _superohmic_tail_terms(theta, tau)
-    a = 1.0 + theta * np.arange(1, M + 1)
-    a2 = a * a
-    s = np.sum(1.0 / a2 - (a2 - t2) / (a2 + t2) ** 2)
-    s += t2 / (theta * (1.0 + M * theta) ** 3)
-    return vacuum + 2.0 * A * s
-
-
-def gamma_closed(bath: BathSpec, tau: float) -> DecoherenceValue:
-    """Exact closed form of the decoherence function (no quadrature).
-
-    Available for the Markovian (A pi tau / theta), ohmic and superohmic
-    families; see the module docstring for the finite-cutoff forms used.
+    With u = (1 + x^2)^(-p/2) and phi = atan x this is
+    (1 - u) + 2 u sin^2(p phi / 2); both terms are >= 0 for p > 0.
     """
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
-    A, theta = bath.A, bath.theta
-    if bath.family is BathFamily.MARKOVIAN:
-        value = A * math.pi * tau / theta
-    elif tau == 0.0 or A == 0.0:
-        value = 0.0
-    elif bath.family is BathFamily.OHMIC:
-        value = _ohmic_gamma(A, theta, tau)
-    elif bath.family is BathFamily.SUPEROHMIC:
-        value = _superohmic_gamma(A, theta, tau)
-    else:
-        raise ValueError("no closed form for PowerLaw baths; use gamma_quadrature")
-    return DecoherenceValue(max(float(value), 0.0), GammaMethod.CLOSED_FORM, 0.0)
+    one_minus_u = -np.expm1(-0.5 * p * np.log1p(x * x))
+    half_turn = np.sin(0.5 * p * np.arctan(x))
+    return one_minus_u + 2.0 * (1.0 - one_minus_u) * half_turn * half_turn
+
+
+def _series_gamma(A, n, theta, taus):
+    """Gamma for n > 1 from the thermal series of the module docstring.
+
+    Row r of the sum is a^-p - Re (a + i tau)^-p = a^-p _rel_gap(p, tau/a),
+    with p = s + _ORDER[r] and a = 1 + theta _ROW_M[r].
+    """
+    s = n - 1.0
+    a_tail = 1.0 + _M_DIRECT * theta
+    p = s + _ORDER
+    a = 1.0 + theta * _ROW_M
+    w = (_ROW_WEIGHT * theta ** _ORDER * special.poch(s, _ORDER) * a ** -p)[:, None]
+    p, a = p[:, None], a[:, None]
+
+    def block(t):
+        # the tail's integral, (2/theta) int_{a_M}^inf (a^-s - Re(a+it)^-s) da
+        x = t / a_tail
+        if s == 1.0:
+            integral = np.log1p(x * x) / theta
+        else:
+            integral = 2.0 * a_tail ** (1.0 - s) * _rel_gap(s - 1.0, x) \
+                / (theta * (s - 1.0))
+        return (w * _rel_gap(p, t / a)).sum(axis=0) + integral
+
+    flat = taus.ravel()
+    out = np.empty_like(flat)
+    for i in range(0, flat.size, _BLOCK):
+        out[i:i + _BLOCK] = block(flat[i:i + _BLOCK])
+    return A * special.gamma(s) * out.reshape(taus.shape)
 
 
 def gamma_closed_array(bath: BathSpec, taus) -> np.ndarray:
-    """Vectorized gamma_closed over an array of click separations."""
-    taus = np.asarray(taus, dtype=float)
-    if np.any(taus < 0):
+    """Exact decoherence function over an array of click separations.
+
+    Markovian baths follow the rate law A pi tau / theta, ohmic baths the
+    log-gamma form and every other exponent n > 1 the thermal series; see
+    the module docstring.
+    """
+    # a single tau becomes a numpy scalar, whose arithmetic is much faster
+    taus = np.asarray(taus, dtype=float)[()]
+    if not (taus >= 0).all():
         raise ValueError("tau must be >= 0")
     A, theta = bath.A, bath.theta
     if bath.family is BathFamily.MARKOVIAN:
         return A * np.pi * taus / theta
+    _require_integrable(bath, "gamma_closed")
     if A == 0.0:
         return np.zeros_like(taus)
-    if bath.family is BathFamily.OHMIC:
+    if bath.n == 1.0:
         out = _ohmic_gamma(A, theta, taus)
-        return np.where(taus == 0.0, 0.0, np.maximum(out, 0.0))
-    if bath.family is BathFamily.SUPEROHMIC:
-        out = np.array([_superohmic_gamma(A, theta, t) for t in np.ravel(taus)])
-        return np.maximum(out.reshape(taus.shape), 0.0)
-    raise ValueError("no closed form for PowerLaw baths")
+    else:
+        out = _series_gamma(A, bath.n, theta, taus)
+    return np.maximum(out, 0.0)
+
+
+def gamma_closed(bath: BathSpec, tau: float) -> DecoherenceValue:
+    """Exact decoherence function at one click separation (no quadrature)."""
+    return DecoherenceValue(float(gamma_closed_array(bath, tau)),
+                            GammaMethod.CLOSED_FORM, 0.0)
 
 
 def gamma_value(bath: BathSpec, tau: float) -> float:
-    """Gamma(tau), closed form when available, quadrature otherwise."""
-    if bath.family is BathFamily.POWER_LAW:
-        return gamma_quadrature(bath, tau).gamma_big
+    """Gamma(tau) from the exact kernel."""
     return gamma_closed(bath, tau).gamma_big
-
-
-class GammaTable:
-    """Cubic-spline table of Gamma(tau) for high-throughput sampling.
-
-    The grid is dense on [0, 64] where the non-Markovian functions have all
-    their structure, and log-spaced beyond; interpolation error is well below
-    the 1e-7 target (checked by the test suite against direct evaluation).
-    """
-
-    def __init__(self, bath: BathSpec, tau_cap: float, dense_points: int = 8193):
-        from scipy.interpolate import CubicSpline
-
-        self.bath = bath
-        self.tau_cap = float(tau_cap)
-        dense_cap = min(64.0, self.tau_cap)
-        grid = np.linspace(0.0, dense_cap, dense_points)
-        if self.tau_cap > dense_cap:
-            tail = np.geomspace(dense_cap * 1.001, self.tau_cap, 513)
-            grid = np.concatenate([grid, tail])
-        values = gamma_closed_array(bath, grid)
-        self._spline = CubicSpline(grid, values)
-
-    def __call__(self, taus):
-        taus = np.asarray(taus, dtype=float)
-        clipped = np.minimum(taus, self.tau_cap)
-        return np.maximum(self._spline(clipped), 0.0)
 
 
 def _sine_transform(A, n, t):
@@ -330,36 +346,50 @@ def lambda_phase(bath: BathSpec, t1: float, t2: float) -> float:
     return total
 
 
-def lambda_phase_closed(bath: BathSpec, t1, t2):
-    """Closed-form Lambda for ohmic / superohmic baths (vectorizes over t1, t2).
-
-    Ohmic:      A (tau + 2 atan t1 - 2 atan t2 + atan tau)
-    Superohmic: A (2 tau + 2 f(t1) - 2 f(t2) + f(tau)), f(t) = 2t/(1+t^2)^2
-    """
+def _times(t1, t2):
     t1 = np.asarray(t1, dtype=float)
     t2 = np.asarray(t2, dtype=float)
-    if np.any(t1 < 0) or np.any(t2 < t1):
+    if not ((0 <= t1) & (t1 <= t2)).all():
         raise ValueError("need 0 <= t1 <= t2")
-    tau = t2 - t1
-    A = bath.A
-    if bath.family is BathFamily.OHMIC:
-        out = A * (tau + 2 * np.arctan(t1) - 2 * np.arctan(t2) + np.arctan(tau))
-    elif bath.family is BathFamily.SUPEROHMIC:
-        def f(t):
-            return 2.0 * t / (1.0 + t * t) ** 2
-        out = A * (2.0 * tau + 2 * f(t1) - 2 * f(t2) + f(tau))
-    else:
-        raise ValueError("closed-form Lambda only for ohmic/superohmic baths")
+    return t1, t2
+
+
+def _scalar_or_array(out):
     return float(out) if out.ndim == 0 else out
 
 
-def phi_phase(bath1: BathSpec, bath2: BathSpec, t1: float, t2: float) -> float:
-    """Relative phase phi(t1, t2) = Lambda_2 - Lambda_1.
+def _lambda(bath: BathSpec, t1, t2):
+    _require_integrable(bath, "lambda_phase_closed")
+    t1, t2 = _times(t1, t2)
+    s = bath.n - 1.0
+    if s == 0.0:
+        sine = np.arctan
+    else:
+        def sine(t):
+            # Gamma(s) Im (1 - i t)^-s
+            return special.gamma(s) * (1.0 + t * t) ** (-0.5 * s) \
+                * np.sin(s * np.arctan(t))
+    tau = t2 - t1
+    return bath.A * (tau * special.gamma(bath.n) + 2 * sine(t1) - 2 * sine(t2)
+                     + sine(tau))
 
-    Identical bath specs short-circuit to exactly 0 without quadrature.
+
+def lambda_phase_closed(bath: BathSpec, t1, t2):
+    """Exact Lambda(t1, t2) for any exponent n >= 1 (vectorizes over t1, t2).
+
+    Lambda = A tau Gamma(n) + 2 S(t1) - 2 S(t2) + S(tau), with
+    S(t) = Gamma(n - 1) (1 + t^2)^{-(n-1)/2} sin((n - 1) atan t), and
+    S(t) = atan t for the ohmic n = 1.
+    """
+    return _scalar_or_array(_lambda(bath, t1, t2))
+
+
+def phi_phase(bath1: BathSpec, bath2: BathSpec, t1, t2):
+    """Relative phase phi(t1, t2) = Lambda_2 - Lambda_1 (vectorizes).
+
+    Identical bath specs short-circuit to exactly 0.
     """
     if bath1 == bath2:
-        if t1 < 0 or t2 < t1:
-            raise ValueError("need 0 <= t1 <= t2")
-        return 0.0
-    return lambda_phase(bath2, t1, t2) - lambda_phase(bath1, t1, t2)
+        t1, t2 = _times(t1, t2)
+        return _scalar_or_array(np.zeros(np.broadcast(t1, t2).shape))
+    return _scalar_or_array(_lambda(bath2, t1, t2) - _lambda(bath1, t1, t2))

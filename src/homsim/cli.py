@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import trajectories
-from .bath import (BathFamily, BathSpec, QuadratureError, gamma_closed,
+from .bath import (BathFamily, BathSpec, QuadratureError, gamma_closed_array,
                    gamma_quadrature)
 from .dynamics import SourceConfig
 from .interference import visibility, windowed_visibility
@@ -39,7 +39,7 @@ class UsageError(Exception):
     pass
 
 
-def _bath_args(parser, with_g=False):
+def _bath_args(parser):
     parser.add_argument("--bath", default="ohmic",
                         choices=[f.value for f in BathFamily],
                         help="spectral family")
@@ -49,24 +49,35 @@ def _bath_args(parser, with_g=False):
                         help="dimensionless inverse temperature omega_c*beta")
     parser.add_argument("--exponent", type=float, default=None,
                         help="spectral exponent (powerlaw only)")
-    if with_g:
-        parser.add_argument("--g", type=float, default=DEFAULT_G,
-                            help="decay rate gamma/omega_c")
 
 
-def _make_bath(args) -> BathSpec:
+def _bath(family, A, theta, n=None) -> BathSpec:
     try:
-        return BathSpec(family=BathFamily(args.bath), A=args.A,
-                        theta=args.theta, n=args.exponent)
+        return BathSpec(family=BathFamily(family), A=A, theta=theta, n=n)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
 
-def _make_source(args) -> SourceConfig:
-    bath = _make_bath(args)
-    if not args.g > 0:
-        raise UsageError(f"--g must be > 0, got {args.g}")
-    return SourceConfig.identical_sources(args.g, bath)
+def _make_bath(args) -> BathSpec:
+    return _bath(args.bath, args.A, args.theta, args.exponent)
+
+
+def _curve_source(bath: BathSpec) -> SourceConfig:
+    # nu and nu' do not depend on the decay rate, so any g will do
+    return SourceConfig.identical_sources(DEFAULT_G, bath)
+
+
+def _tau_grid(args) -> np.ndarray:
+    if not 0 < args.tau_max < math.inf or args.points < 2:
+        raise UsageError("need finite --tau-max > 0 and --points >= 2")
+    return np.linspace(0.0, args.tau_max, args.points)
+
+
+def _delta_grid(args) -> np.ndarray:
+    if not 0 < args.delta_min < args.delta_max < math.inf or args.points < 2:
+        raise UsageError("need 0 < --delta-min < --delta-max < inf "
+                         "and --points >= 2")
+    return np.geomspace(args.delta_min, args.delta_max, args.points)
 
 
 def _write_csv(path, header, rows):
@@ -75,7 +86,7 @@ def _write_csv(path, header, rows):
             writer = csv.writer(fh)
             writer.writerow(header)
             for row in rows:
-                writer.writerow([repr(v) if isinstance(v, float) else v
+                writer.writerow([repr(float(v)) if isinstance(v, float) else v
                                  for v in row])
     except OSError as exc:
         raise _IOFailure(str(exc)) from exc
@@ -89,83 +100,60 @@ def cmd_gamma(args) -> int:
     bath = _make_bath(args)
     if bath.family is BathFamily.MARKOVIAN:
         raise UsageError("gamma table needs a bath with a spectral density")
-    if not args.tau_max > 0 or args.points < 2:
-        raise UsageError("need --tau-max > 0 and --points >= 2")
-    taus = np.linspace(0.0, args.tau_max, args.points)
-    rows = []
-    for tau in taus:
-        quad = gamma_quadrature(bath, float(tau)).gamma_big
-        if bath.family is BathFamily.POWER_LAW:
-            closed = quad
-        else:
-            closed = gamma_closed(bath, float(tau)).gamma_big
-        rows.append((float(tau), closed, quad, abs(closed - quad)))
-    _write_csv(args.out, ["tau", "gamma_closed", "gamma_quadrature",
-                          "abs_diff"], rows)
+    if bath.n < 1:
+        raise UsageError(f"Gamma diverges for --exponent {bath.n} < 1")
+    taus = _tau_grid(args)
+    rows = zip(taus, gamma_closed_array(bath, taus),
+               [gamma_quadrature(bath, float(t)).gamma_big for t in taus])
+    _write_csv(args.out, ["tau", "gamma_closed", "gamma_quadrature"], rows)
     return EXIT_OK
 
 
-def _three_baths(A, theta):
-    return {
-        "ohmic": BathSpec(BathFamily.OHMIC, A, theta),
-        "superohmic": BathSpec(BathFamily.SUPEROHMIC, A, theta),
-        "markovian": BathSpec(BathFamily.MARKOVIAN, A, theta),
-    }
+def _three_sources(args) -> list[SourceConfig]:
+    return [_curve_source(_bath(f, args.A, args.theta))
+            for f in ("ohmic", "superohmic", "markovian")]
 
 
 def cmd_fig1(args) -> int:
-    baths = _three_baths(args.A, args.theta)
-    taus = np.linspace(0.0, args.tau_max, args.points)
-    # visibility is g-independent; the rate only matters for windowed curves
-    sources = {k: SourceConfig.identical_sources(DEFAULT_G, b)
-               for k, b in baths.items()}
-    rows = [(float(t),
-             visibility(sources["ohmic"], float(t)),
-             visibility(sources["superohmic"], float(t)),
-             visibility(sources["markovian"], float(t)))
-            for t in taus]
+    sources = _three_sources(args)
+    rows = [(t, *(visibility(src, t) for src in sources))
+            for t in _tau_grid(args).tolist()]
     _write_csv(args.out, ["tau", "nu_ohmic", "nu_superohmic", "nu_markovian"],
                rows)
     return EXIT_OK
 
 
 def cmd_fig2(args) -> int:
-    if not args.g > 0:
-        raise UsageError(f"--g must be > 0, got {args.g}")
-    baths = _three_baths(args.A, args.theta)
-    sources = {k: SourceConfig.identical_sources(args.g, b)
-               for k, b in baths.items()}
-    deltas = np.geomspace(args.delta_min, args.delta_max, args.points)
-    rows = [(float(d),
-             windowed_visibility(sources["ohmic"], float(d)),
-             windowed_visibility(sources["superohmic"], float(d)),
-             windowed_visibility(sources["markovian"], float(d)))
-            for d in deltas]
+    sources = _three_sources(args)
+    rows = [(d, *(windowed_visibility(src, d) for src in sources))
+            for d in _delta_grid(args).tolist()]
     _write_csv(args.out, ["delta", "nu_ohmic", "nu_superohmic",
                           "nu_markovian"], rows)
     return EXIT_OK
 
 
 def cmd_visibility(args) -> int:
-    src = _make_source(args)
-    taus = np.linspace(0.0, args.tau_max, args.points)
-    rows = [(float(t), visibility(src, float(t))) for t in taus]
+    src = _curve_source(_make_bath(args))
+    rows = [(t, visibility(src, t)) for t in _tau_grid(args).tolist()]
     _write_csv(args.out, ["tau", "nu"], rows)
     return EXIT_OK
 
 
 def cmd_windowed(args) -> int:
-    src = _make_source(args)
-    deltas = np.geomspace(args.delta_min, args.delta_max, args.points)
-    rows = [(float(d), windowed_visibility(src, float(d))) for d in deltas]
+    src = _curve_source(_make_bath(args))
+    rows = [(d, windowed_visibility(src, d)) for d in _delta_grid(args).tolist()]
     _write_csv(args.out, ["delta", "nu"], rows)
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    src = _make_source(args)
-    if args.n < 1:
-        raise UsageError("--n must be >= 1")
+    bath = _make_bath(args)
+    try:
+        src = SourceConfig.identical_sources(args.g, bath)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    if args.n < 1 or args.seed < 0 or args.workers < 1:
+        raise UsageError("need --n >= 1, --seed >= 0 and --workers >= 1")
     records = trajectories.simulate_ensemble(args.seed, args.n, src,
                                              workers=args.workers)
     try:
@@ -177,17 +165,20 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    if not args.delta > 0:
-        raise UsageError(f"--delta must be > 0, got {args.delta}")
-    if args.t1_max is not None and not args.t1_max > 0:
-        raise UsageError(f"--t1-max must be > 0, got {args.t1_max}")
+    try:
+        window = Window(delta=args.delta, t1_max=args.t1_max)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    if args.bins < 0:
+        raise UsageError(f"--bins must be >= 0, got {args.bins}")
     try:
         with open(args.records) as fh:
             records = trajectories.read_records(fh)
     except OSError as exc:
         raise _IOFailure(str(exc)) from exc
+    except (ValueError, KeyError, TypeError) as exc:
+        raise _IOFailure(f"malformed record file: {exc!r}") from exc
 
-    window = Window(delta=args.delta, t1_max=args.t1_max)
     est = trajectories.estimate_visibility(records, window)
     print(f"records:     {len(records)}")
     print(f"retained:    {est.n_same + est.n_diff} "
@@ -246,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
                                     "reference baths")
     p.add_argument("--A", type=float, default=DEFAULT_A)
     p.add_argument("--theta", type=float, default=DEFAULT_THETA)
-    p.add_argument("--g", type=float, default=DEFAULT_G)
     p.add_argument("--delta-min", type=float, default=1e-3)
     p.add_argument("--delta-max", type=float, default=10.0)
     p.add_argument("--points", type=int, default=200)
@@ -254,14 +244,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fig2)
 
     p = sub.add_parser("visibility", help="time-resolved visibility curve")
-    _bath_args(p, with_g=True)
+    _bath_args(p)
     p.add_argument("--tau-max", type=float, default=10.0)
     p.add_argument("--points", type=int, default=200)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_visibility)
 
     p = sub.add_parser("windowed", help="windowed visibility curve")
-    _bath_args(p, with_g=True)
+    _bath_args(p)
     p.add_argument("--delta-min", type=float, default=1e-3)
     p.add_argument("--delta-max", type=float, default=10.0)
     p.add_argument("--points", type=int, default=100)
@@ -269,7 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_windowed)
 
     p = sub.add_parser("simulate", help="draw Monte Carlo click records")
-    _bath_args(p, with_g=True)
+    _bath_args(p)
+    p.add_argument("--g", type=float, default=DEFAULT_G,
+                   help="decay rate gamma/omega_c")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--workers", type=int, default=1)

@@ -14,12 +14,16 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .bath import BathSpec, gamma_value, phi_phase
+import numpy as np
+
+from .bath import BathSpec, gamma_closed_array, phi_phase
 
 __all__ = [
     "ConditionalState",
     "Detector",
     "SourceConfig",
+    "coherence",
+    "coherence_factor",
     "conditional_state",
     "first_click_density",
     "second_click_density",
@@ -46,8 +50,8 @@ class SourceConfig:
     identical: bool
 
     def __post_init__(self):
-        if not self.g > 0:
-            raise ValueError(f"decay rate g must be > 0, got {self.g}")
+        if not 0 < self.g < math.inf:
+            raise ValueError(f"decay rate g must be finite and > 0, got {self.g}")
         if self.identical and self.bath1 != self.bath2:
             raise ValueError("identical sources require bath1 == bath2")
 
@@ -100,14 +104,27 @@ def first_click_density(src: SourceConfig, t: float) -> tuple[float, float]:
     return 2.0 * src.g * math.exp(-2.0 * src.g * t), 0.5
 
 
-def _coherence(src: SourceConfig, t1: float, tau: float) -> tuple[float, float]:
-    """(exp(-(Gamma_1 + Gamma_2)), phi) for a click pair separated by tau."""
+def coherence(src: SourceConfig, t1, tau):
+    """(exp(-(Gamma_1 + Gamma_2)), phi(t1, t1 + tau)) of click pairs.
+
+    Vectorizes over t1 and tau.  Identical sources have phi = 0.
+    """
+    tau = np.asarray(tau, dtype=float)
+    g1 = gamma_closed_array(src.bath1, tau)
     if src.identical:
-        return math.exp(-2.0 * gamma_value(src.bath1, tau)), 0.0
-    g1 = gamma_value(src.bath1, tau)
-    g2 = gamma_value(src.bath2, tau)
-    phi = phi_phase(src.bath1, src.bath2, t1, t1 + tau)
-    return math.exp(-(g1 + g2)), phi
+        return np.exp(-2.0 * g1), np.zeros_like(g1)
+    g2 = gamma_closed_array(src.bath2, tau)
+    return np.exp(-(g1 + g2)), phi_phase(src.bath1, src.bath2, t1, t1 + tau)
+
+
+def coherence_factor(src: SourceConfig, t1, tau):
+    """kappa = exp(-(Gamma_1 + Gamma_2)) cos phi, vectorized over t1 and tau.
+
+    The probability that the second click repeats the first detector is
+    (1 + kappa)/2, and |kappa| is the time-resolved visibility.
+    """
+    mag, phi = coherence(src, t1, tau)
+    return mag * np.cos(phi)
 
 
 def conditional_state(src: SourceConfig, t1: float, tau: float,
@@ -115,13 +132,13 @@ def conditional_state(src: SourceConfig, t1: float, tau: float,
     """State of the remaining excitation a time tau after the first click."""
     if t1 < 0 or tau < 0:
         raise ValueError("t1 and tau must be >= 0")
-    mag, phi = _coherence(src, t1, tau)
+    mag, phi = coherence(src, t1, tau)
     parity = 1 if Detector(first_detector) is Detector.PLUS else -1
     return ConditionalState(
         tau=tau,
         weight=math.exp(-src.g * tau),
-        coherence_mag=mag,
-        phase=phi,
+        coherence_mag=float(mag),
+        phase=float(phi),
         parity=parity,
     )
 
@@ -138,7 +155,6 @@ def second_click_density(src: SourceConfig, t1: float, tau: float,
     """
     if t1 < 0 or tau < 0:
         raise ValueError("t1 and tau must be >= 0")
-    mag, phi = _coherence(src, t1, tau)
-    kappa = mag * math.cos(phi)
+    kappa = float(coherence_factor(src, t1, tau))
     sign = 1.0 if same_detector else -1.0
     return 0.5 * src.g * math.exp(-src.g * tau) * (1.0 + sign * kappa)

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, special
 
-from .bath import BathFamily, BathSpec, QuadratureError, gamma_value
-from .dynamics import SourceConfig, second_click_density
+from .bath import BathFamily, BathSpec, QuadratureError
+from .dynamics import SourceConfig, coherence_factor, second_click_density
 
 __all__ = [
     "CurveKind",
@@ -66,7 +66,7 @@ def visibility(src: SourceConfig, tau: float) -> float:
                          "use visibility_nonidentical()")
     if tau < 0:
         raise ValueError("tau must be >= 0")
-    return math.exp(-2.0 * gamma_value(src.bath1, tau))
+    return abs(float(coherence_factor(src, 0.0, tau)))
 
 
 def visibility_nonidentical(src: SourceConfig, t1: float, tau: float) -> float:
@@ -74,15 +74,9 @@ def visibility_nonidentical(src: SourceConfig, t1: float, tau: float) -> float:
 
     Reduces bit-for-bit to visibility() when the baths are identical.
     """
-    if src.identical:
-        return visibility(src, tau)
     if t1 < 0 or tau < 0:
         raise ValueError("t1 and tau must be >= 0")
-    from .bath import phi_phase
-    g1 = gamma_value(src.bath1, tau)
-    g2 = gamma_value(src.bath2, tau)
-    phi = phi_phase(src.bath1, src.bath2, t1, t1 + tau)
-    return math.exp(-(g1 + g2)) * abs(math.cos(phi))
+    return abs(float(coherence_factor(src, t1, tau)))
 
 
 def windowed_visibility(src: SourceConfig, delta: float) -> float:
@@ -125,8 +119,6 @@ def postselected_visibility(src: SourceConfig, delta: float) -> float:
     if not delta > 0:
         raise ValueError(f"window width must be > 0, got {delta}")
     g = src.g
-    bath = src.bath1
-
     upper = delta if math.isfinite(delta) else np.inf
     p_same, e1 = integrate.quad(
         lambda t: second_click_density(src, 0.0, t, True),
@@ -137,7 +129,7 @@ def postselected_visibility(src: SourceConfig, delta: float) -> float:
     ratio_form = abs(p_same - p_diff) / (p_same + p_diff)
 
     numer, e3 = integrate.quad(
-        lambda t: g * math.exp(-g * t) * math.exp(-2.0 * gamma_value(bath, t)),
+        lambda t: g * math.exp(-g * t) * visibility(src, t),
         0.0, upper, epsabs=_WINDOW_EPSABS, epsrel=_WINDOW_EPSREL, limit=400)
     mass = 1.0 - math.exp(-g * delta) if math.isfinite(delta) else 1.0
     average_form = numer / mass

@@ -19,11 +19,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
-from .bath import BathFamily, BathSpec, GammaTable, gamma_closed_array, \
-    gamma_value, lambda_phase, lambda_phase_closed
-from .dynamics import Detector, SourceConfig
+from .dynamics import Detector, SourceConfig, coherence_factor
 
 __all__ = [
     "BinnedVisibility",
@@ -40,8 +37,6 @@ __all__ = [
 ]
 
 CHUNK_SIZE = 4096
-# Above this many records, non-Markovian Gamma goes through a spline table.
-_TABLE_THRESHOLD = 2048
 _Z95 = 1.959963984540054
 
 
@@ -71,8 +66,8 @@ class Window:
     def __post_init__(self):
         if not self.delta > 0:
             raise ValueError(f"window width must be > 0, got {self.delta}")
-        if self.t1_max is not None and not self.t1_max > 0:
-            raise ValueError(f"t1_max must be > 0, got {self.t1_max}")
+        if self.t1_max is not None and not 0 < self.t1_max < math.inf:
+            raise ValueError(f"t1_max must be finite and > 0, got {self.t1_max}")
 
 
 @dataclass(frozen=True)
@@ -85,100 +80,35 @@ class VisibilityEstimate:
     efficiency: float
 
 
-def _kappa_scalar(src: SourceConfig, t1: float, tau: float) -> float:
-    if src.identical:
-        return math.exp(-2.0 * gamma_value(src.bath1, tau))
-    g1 = gamma_value(src.bath1, tau)
-    g2 = gamma_value(src.bath2, tau)
-    from .bath import phi_phase
-    phi = phi_phase(src.bath1, src.bath2, t1, t1 + tau)
-    return math.exp(-(g1 + g2)) * math.cos(phi)
-
-
-def sample_record(rng: np.random.Generator, src: SourceConfig) -> ClickRecord:
-    """Draw one two-photon click record from the exact densities."""
-    g = src.g
-    t1 = rng.exponential(1.0 / (2.0 * g))
-    d1 = Detector.PLUS if rng.integers(0, 2) == 0 else Detector.MINUS
-    tau = rng.exponential(1.0 / g)
-    kappa = _kappa_scalar(src, t1, tau)
-    same = rng.random() < 0.5 * (1.0 + kappa)
-    d2 = d1 if same else (Detector.MINUS if d1 is Detector.PLUS else Detector.PLUS)
-    return ClickRecord(t1=t1, d1=d1, tau=tau, d2=d2)
-
-
-_TABLE_CACHE: dict = {}
-
-
-def _cached_table(bath: BathSpec, tau_cap: float) -> GammaTable:
-    key = (bath, tau_cap)
-    if key not in _TABLE_CACHE:
-        _TABLE_CACHE[key] = GammaTable(bath, tau_cap)
-    return _TABLE_CACHE[key]
-
-
-class _KappaBatch:
-    """Vectorized coherence factor, with a spline table for the slow families."""
-
-    def __init__(self, src: SourceConfig, n: int, tau_cap: float):
-        self.src = src
-        self._tables = {}
-        if n >= _TABLE_THRESHOLD:
-            for bath in {src.bath1, src.bath2}:
-                # ohmic Gamma is cheap enough directly; the table only helps
-                # the superohmic sum
-                if bath.family is BathFamily.SUPEROHMIC and bath.A > 0:
-                    self._tables[bath] = _cached_table(bath, tau_cap)
-
-    def _gamma(self, bath: BathSpec, taus: np.ndarray) -> np.ndarray:
-        table = self._tables.get(bath)
-        if table is not None:
-            return table(taus)
-        if bath.family is BathFamily.POWER_LAW:
-            from .bath import gamma_quadrature
-            return np.array([gamma_quadrature(bath, t).gamma_big for t in taus])
-        return gamma_closed_array(bath, taus)
-
-    def __call__(self, t1s: np.ndarray, taus: np.ndarray) -> np.ndarray:
-        src = self.src
-        if src.identical:
-            return np.exp(-2.0 * self._gamma(src.bath1, taus))
-        mag = np.exp(-(self._gamma(src.bath1, taus)
-                       + self._gamma(src.bath2, taus)))
-        t2s = t1s + taus
-        try:
-            phi = lambda_phase_closed(src.bath2, t1s, t2s) \
-                - lambda_phase_closed(src.bath1, t1s, t2s)
-        except ValueError:
-            phi = np.array([lambda_phase(src.bath2, a, b)
-                            - lambda_phase(src.bath1, a, b)
-                            for a, b in zip(t1s, t2s)])
-        return mag * np.cos(phi)
-
-
-def _sample_chunk(src: SourceConfig, seed: int, chunk: int, m: int,
-                  kappa: _KappaBatch):
-    ss = np.random.SeedSequence(seed, spawn_key=(chunk,))
-    rng = np.random.Generator(np.random.Philox(ss))
+def _draw(rng: np.random.Generator, src: SourceConfig, m: int):
+    """m records from the exact densities, as arrays (t1, d1, tau, d2)."""
     g = src.g
     t1 = rng.exponential(1.0 / (2.0 * g), size=m)
     d1 = rng.integers(0, 2, size=m)
     tau = rng.exponential(1.0 / g, size=m)
     u = rng.random(size=m)
-    same = u < 0.5 * (1.0 + kappa(t1, tau))
+    same = u < 0.5 * (1.0 + coherence_factor(src, t1, tau))
     d2 = np.where(same, d1, 1 - d1)
     return t1, d1, tau, d2
 
 
-def _chunk_worker(args):
-    src, seed, chunk, m, tau_cap, n = args
-    kappa = _KappaBatch(src, n, tau_cap)
-    return _sample_chunk(src, seed, chunk, m, kappa)
+_DETECTORS = (Detector.PLUS, Detector.MINUS)
 
 
-# tau is exponential with rate g; cap the interpolation table far out in
-# the tail (P[tau > 60/g] ~ 1e-26) and clamp the handful beyond it.
-_TAU_CAP_FACTOR = 60.0
+def _records(t1, d1, tau, d2) -> list[ClickRecord]:
+    return [ClickRecord(t1=a, d1=_DETECTORS[b], tau=c, d2=_DETECTORS[d])
+            for a, b, c, d in zip(t1.tolist(), d1.tolist(),
+                                  tau.tolist(), d2.tolist())]
+
+
+def sample_record(rng: np.random.Generator, src: SourceConfig) -> ClickRecord:
+    """Draw one two-photon click record from the exact densities."""
+    return _records(*_draw(rng, src, 1))[0]
+
+
+def _sample_chunk(src: SourceConfig, seed: int, chunk: int, m: int):
+    ss = np.random.SeedSequence(seed, spawn_key=(chunk,))
+    return _draw(np.random.Generator(np.random.Philox(ss)), src, m)
 
 
 def simulate_ensemble(seed: int, n: int, src: SourceConfig,
@@ -186,24 +116,16 @@ def simulate_ensemble(seed: int, n: int, src: SourceConfig,
     """Generate n records; a pure function of (seed, n, src) for any workers."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    tau_cap = _TAU_CAP_FACTOR / src.g
-    chunks = [(c, min(CHUNK_SIZE, n - c * CHUNK_SIZE))
-              for c in range((n + CHUNK_SIZE - 1) // CHUNK_SIZE)]
+    jobs = [(src, seed, c, min(CHUNK_SIZE, n - c * CHUNK_SIZE))
+            for c in range((n + CHUNK_SIZE - 1) // CHUNK_SIZE)]
     if workers <= 1:
-        kappa = _KappaBatch(src, n, tau_cap)
-        parts = [_sample_chunk(src, seed, c, m, kappa) for c, m in chunks]
+        parts = [_sample_chunk(*job) for job in jobs]
     else:
-        jobs = [(src, seed, c, m, tau_cap, n) for c, m in chunks]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_chunk_worker, jobs, chunksize=8))
-
-    detectors = (Detector.PLUS, Detector.MINUS)
+            parts = list(pool.map(_sample_chunk, *zip(*jobs), chunksize=8))
     records = []
-    for t1, d1, tau, d2 in parts:
-        records.extend(
-            ClickRecord(t1=a, d1=detectors[b], tau=c, d2=detectors[d])
-            for a, b, c, d in zip(t1.tolist(), d1.tolist(),
-                                  tau.tolist(), d2.tolist()))
+    for part in parts:
+        records.extend(_records(*part))
     return records
 
 
@@ -283,9 +205,9 @@ def binned_visibility(records, bin_edges) -> BinnedVisibility:
     taus = np.array([r.tau for r in records], dtype=float)
     same = np.array([r.d1 == r.d2 for r in records], dtype=bool)
     idx = np.searchsorted(edges, taus, side="right") - 1
-    inside = (idx >= 0) & (idx < edges.size - 1) & (taus <= edges[-1])
     # right edge of the last bin is inclusive
     idx = np.where(taus == edges[-1], edges.size - 2, idx)
+    inside = (idx >= 0) & (idx < edges.size - 1)
 
     nbins = edges.size - 1
     counts = np.zeros(nbins, dtype=int)
@@ -329,6 +251,8 @@ def read_records(fh) -> list[ClickRecord]:
 
 def ks_statistic_tau(records, g: float) -> tuple[float, float]:
     """Kolmogorov-Smirnov statistic and p-value of tau against Exp(rate=g)."""
+    from scipy import stats
+
     taus = [r.tau for r in records]
     result = stats.kstest(taus, stats.expon(scale=1.0 / g).cdf)
     return result.statistic, result.pvalue

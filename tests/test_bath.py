@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from homsim.bath import (BathFamily, BathSpec, GammaMethod, GammaTable,
-                         gamma_closed, gamma_closed_array, gamma_quadrature,
-                         gamma_value, lambda_phase, lambda_phase_closed,
-                         phi_phase, spectral_density)
+from homsim.bath import (BathFamily, BathSpec, GammaMethod, gamma_closed,
+                         gamma_closed_array, gamma_quadrature, gamma_value,
+                         lambda_phase, lambda_phase_closed, phi_phase,
+                         spectral_density)
 
 OHMIC = BathSpec(BathFamily.OHMIC, 0.5, 10.0)
 SUPER = BathSpec(BathFamily.SUPEROHMIC, 0.5, 10.0)
@@ -29,6 +31,15 @@ class TestBathSpec:
             BathSpec(BathFamily.OHMIC, 0.5, 0.0)
         with pytest.raises(ValueError):
             BathSpec(BathFamily.POWER_LAW, 0.5, 10.0)  # missing n
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError):
+            BathSpec(BathFamily.OHMIC, bad, 10.0)
+        with pytest.raises(ValueError):
+            BathSpec(BathFamily.OHMIC, 0.5, bad)
+        with pytest.raises(ValueError):
+            BathSpec(BathFamily.POWER_LAW, 0.5, 10.0, n=bad)
 
     def test_zero_coupling_allowed(self):
         bath = BathSpec(BathFamily.OHMIC, 0.0, 10.0)
@@ -89,6 +100,17 @@ class TestGammaQuadrature:
         with pytest.raises(ValueError):
             gamma_quadrature(MARKOV, 1.0)
 
+    @pytest.mark.parametrize("bath", [OHMIC, SUPER], ids=["ohmic", "super"])
+    @pytest.mark.parametrize("theta", np.geomspace(1.0, 1e3, 13))
+    def test_error_bound_holds(self, bath, theta):
+        # the reported error bound covers the true error, cold baths included
+        bath = BathSpec(bath.family, bath.A, float(theta))
+        for tau in np.geomspace(1e-2, 1e3, 26):
+            quad = gamma_quadrature(bath, float(tau))
+            closed = gamma_closed(bath, float(tau)).gamma_big
+            assert abs(closed - quad.gamma_big) <= quad.est_abs_error + 1e-14, \
+                f"tau={tau}"
+
     def test_powerlaw_general_exponent(self):
         # n = 2 sits between the closed-form families; sanity-bracket it
         bath2 = BathSpec(BathFamily.POWER_LAW, 0.5, 10.0, n=2.0)
@@ -129,8 +151,24 @@ class TestGammaClosed:
                 gamma_quadrature(SUPER, tau).gamma_big, rel=1e-6, abs=1e-15)
             assert val >= 0
 
-    def test_powerlaw_unsupported(self):
-        bath = BathSpec(BathFamily.POWER_LAW, 0.5, 10.0, n=2.0)
+    @pytest.mark.parametrize("n", [1.5, 2.0, 2.5, 4.0])
+    def test_powerlaw_matches_quadrature(self, n):
+        bath = BathSpec(BathFamily.POWER_LAW, 0.5, 10.0, n=n)
+        for tau in np.geomspace(1e-3, 100.0, 15):
+            quad = gamma_quadrature(bath, float(tau)).gamma_big
+            closed = gamma_closed(bath, float(tau)).gamma_big
+            assert closed == pytest.approx(quad, abs=1e-12), f"tau={tau}"
+
+    def test_powerlaw_integer_exponent_is_the_family(self):
+        for family, n in ((BathFamily.OHMIC, 1.0), (BathFamily.SUPEROHMIC, 3.0)):
+            power = BathSpec(BathFamily.POWER_LAW, 0.5, 10.0, n=n)
+            taus = np.geomspace(1e-3, 100.0, 15)
+            np.testing.assert_array_equal(
+                gamma_closed_array(power, taus),
+                gamma_closed_array(BathSpec(family, 0.5, 10.0), taus))
+
+    def test_subohmic_rejected(self):
+        bath = BathSpec(BathFamily.POWER_LAW, 0.5, 10.0, n=0.5)
         with pytest.raises(ValueError):
             gamma_closed(bath, 1.0)
 
@@ -148,12 +186,47 @@ class TestGammaClosed:
             np.testing.assert_allclose(vals, scalars, rtol=1e-13, atol=1e-300)
 
 
-class TestGammaTable:
-    def test_agrees_with_direct(self):
-        table = GammaTable(SUPER, 500.0)
-        taus = np.geomspace(1e-3, 500.0, 400)
-        direct = gamma_closed_array(SUPER, taus)
-        assert np.max(np.abs(table(taus) - direct)) < 1e-7
+    def test_array_shape_and_empty(self):
+        assert gamma_closed_array(SUPER, np.zeros((2, 3))).shape == (2, 3)
+        assert gamma_closed_array(SUPER, []).shape == (0,)
+
+    def test_series_converged(self):
+        # 25 direct terms plus the Euler-Maclaurin tail against the same
+        # series summed directly to m = 1e6 (the rest is below 3e-15)
+        for theta in (2.0, 100.0):
+            bath = BathSpec(BathFamily.POWER_LAW, 0.5, theta, n=3.0)
+            a = 1.0 + theta * np.arange(1e6 + 1)
+            for tau in (0.1, 3.0, 200.0):
+                terms = 1 / a ** 2 - (a * a - tau * tau) / (a * a + tau * tau) ** 2
+                direct = 0.5 * (2 * math.fsum(terms) - terms[0])
+                assert gamma_value(bath, tau) == pytest.approx(direct, rel=1e-13)
+
+
+_EXPONENT = st.floats(1.05, 6.0)
+_THETA = st.floats(0.5, 300.0)
+_TAU = st.floats(1e-3, 1e3)
+
+
+class TestKernelProperties:
+    """The exact kernels against the quadrature oracle over random baths."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(n=_EXPONENT, theta=_THETA, tau=_TAU)
+    def test_gamma_matches_quadrature(self, n, theta, tau):
+        bath = BathSpec(BathFamily.POWER_LAW, 0.5, theta, n=n)
+        quad = gamma_quadrature(bath, tau)
+        closed = gamma_closed(bath, tau).gamma_big
+        assert abs(closed - quad.gamma_big) <= \
+            quad.est_abs_error + 1e-12 * max(1.0, closed)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(n=_EXPONENT, theta=_THETA, t1=st.floats(0.0, 1e3), tau=_TAU)
+    def test_lambda_matches_quadrature(self, n, theta, t1, tau):
+        bath = BathSpec(BathFamily.POWER_LAW, 0.5, theta, n=n)
+        quad = lambda_phase(bath, t1, t1 + tau)
+        closed = lambda_phase_closed(bath, t1, t1 + tau)
+        # lambda_phase reports no error estimate; its panels reach ~1e-14
+        assert abs(closed - quad) <= 1e-12 * max(1.0, abs(closed))
 
 
 class TestLambdaPhase:
@@ -186,6 +259,23 @@ class TestLambdaPhase:
     def test_time_order_enforced(self):
         with pytest.raises(ValueError):
             lambda_phase(OHMIC, 2.0, 1.0)
+        with pytest.raises(ValueError):
+            lambda_phase_closed(OHMIC, 2.0, 1.0)
+
+    @pytest.mark.parametrize("n", [1.5, 2.0, 2.5])
+    def test_powerlaw_closed_form(self, n):
+        bath = BathSpec(BathFamily.POWER_LAW, 0.5, 10.0, n=n)
+        for t1, t2 in [(0.0, 1.0), (1.0, 3.0), (2.0, 2.5), (0.0, 10.0)]:
+            assert lambda_phase_closed(bath, t1, t2) == \
+                pytest.approx(lambda_phase(bath, t1, t2), abs=1e-10)
+
+    def test_closed_form_vectorizes(self):
+        bath = BathSpec(BathFamily.POWER_LAW, 0.5, 10.0, n=2.5)
+        t1 = np.array([0.0, 1.0, 2.0])
+        t2 = t1 + np.array([1.0, 2.0, 0.5])
+        np.testing.assert_array_equal(
+            lambda_phase_closed(bath, t1, t2),
+            [lambda_phase_closed(bath, a, b) for a, b in zip(t1, t2)])
 
 
 class TestPhiPhase:
@@ -198,6 +288,14 @@ class TestPhiPhase:
         # Lambda is linear in A, so the difference is Lambda at A/2
         assert phi_phase(weak, OHMIC, 0.0, 1.0) == \
             pytest.approx(0.25 * (1 - math.pi / 4), abs=1e-9)
+
+    def test_vectorizes(self):
+        weak = BathSpec(BathFamily.POWER_LAW, 0.25, 10.0, n=2.5)
+        t1, t2 = np.array([0.0, 3.0]), np.array([1.0, 17.0])
+        np.testing.assert_array_equal(phi_phase(OHMIC, OHMIC, t1, t2), [0.0, 0.0])
+        np.testing.assert_array_equal(
+            phi_phase(weak, OHMIC, t1, t2),
+            [phi_phase(weak, OHMIC, a, b) for a, b in zip(t1, t2)])
 
     def test_antisymmetric_under_swap(self):
         weak = BathSpec(BathFamily.OHMIC, 0.25, 10.0)

@@ -22,8 +22,37 @@ class TestUsageErrors:
         assert "error:" in capsys.readouterr().err
 
     def test_bad_rate(self, tmp_path):
-        assert cli.main(["visibility", "--g", "0", "--out",
-                         str(tmp_path / "x.csv")]) == cli.EXIT_USAGE
+        assert cli.main(["simulate", "--g", "0", "--n", "5", "--seed", "1",
+                         "--out", str(tmp_path / "x.jsonl")]) == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [
+        ["fig1", "--A", "-1"],
+        ["fig1", "--A", "nan"],
+        ["fig2", "--theta", "inf"],
+    ], ids=["fig1-negative-A", "fig1-nan-A", "fig2-infinite-theta"])
+    def test_figure_bad_bath(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.csv"
+        assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["fig2", "--delta-min", "0"],
+        ["fig2", "--points", "1"],
+        ["fig1", "--tau-max", "inf"],
+        ["simulate", "--seed", "-1", "--n", "5"],
+        ["simulate", "--workers", "0", "--n", "5", "--seed", "1"],
+        ["simulate", "--g", "inf", "--n", "5", "--seed", "1"],
+    ])
+    def test_bad_grid_or_run(self, tmp_path, argv):
+        assert cli.main(argv + ["--out", str(tmp_path / "x")]) == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("command", ["visibility", "windowed", "fig2"])
+    def test_curves_take_no_rate(self, tmp_path, command):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--g", "0.1", "--out", str(tmp_path / "x")])
+        assert exc.value.code == cli.EXIT_USAGE
 
     def test_powerlaw_needs_exponent(self, tmp_path):
         assert cli.main(["gamma", "--bath", "powerlaw", "--out",
@@ -39,6 +68,13 @@ class TestUsageErrors:
         assert cli.main(["analyze", "--records", str(rec),
                          "--delta", "-1"]) == cli.EXIT_USAGE
 
+    def test_analyze_bad_t1_max(self, tmp_path):
+        rec = tmp_path / "r.jsonl"
+        rec.write_text("")
+        for bad in ("inf", "nan", "0"):
+            assert cli.main(["analyze", "--records", str(rec), "--delta", "1",
+                             "--t1-max", bad]) == cli.EXIT_USAGE
+
 
 class TestGamma:
     def test_table_diff_small(self, tmp_path):
@@ -46,17 +82,17 @@ class TestGamma:
         assert cli.main(["gamma", "--bath", "ohmic", "--tau-max", "5",
                          "--points", "20", "--out", str(out)]) == cli.EXIT_OK
         header, rows = read_csv(out)
-        assert header == ["tau", "gamma_closed", "gamma_quadrature",
-                          "abs_diff"]
+        assert header == ["tau", "gamma_closed", "gamma_quadrature"]
         assert len(rows) == 20
-        assert all(float(r[3]) <= 1e-6 for r in rows)
+        assert all(abs(float(r[1]) - float(r[2])) <= 1e-6 for r in rows)
 
     def test_powerlaw_table(self, tmp_path):
         out = tmp_path / "gamma.csv"
         assert cli.main(["gamma", "--bath", "powerlaw", "--exponent", "2",
                          "--points", "5", "--out", str(out)]) == cli.EXIT_OK
         _, rows = read_csv(out)
-        assert all(float(r[3]) == 0.0 for r in rows)
+        assert all(abs(float(r[1]) - float(r[2])) <= 1e-12 for r in rows)
+        assert float(rows[-1][1]) > 0.0
 
 
 class TestFigures:
@@ -134,6 +170,33 @@ class TestSimulateAnalyze:
         assert header == ["tau_mid", "n", "nu_hat", "ci_low", "ci_high"]
         assert len(rows) == 10
         assert sum(int(r[1]) for r in rows) > 0
+        # plain numbers, every bin filled
+        for row in rows:
+            for cell in row:
+                float(cell)
+
+    def test_analyze_bins_keep_last_edge(self, tmp_path):
+        # with --delta inf the last bin edge is the largest tau
+        rec = tmp_path / "r.jsonl"
+        bins = tmp_path / "bins.csv"
+        cli.main(["simulate", "--bath", "markovian", "--n", "1000",
+                  "--seed", "7", "--out", str(rec)])
+        assert cli.main(["analyze", "--records", str(rec), "--delta", "inf",
+                         "--bins", "20", "--bins-out",
+                         str(bins)]) == cli.EXIT_OK
+        _, rows = read_csv(bins)
+        assert sum(int(r[1]) for r in rows) == 1000
+
+    @pytest.mark.parametrize("line", [
+        "not json", '{"t1": 0.1, "d1": "+", "tau": 1.0}',
+        '{"t1": 0.1, "d1": "x", "tau": 1.0, "d2": "+"}', "[1, 2]",
+        '{"t1": -1.0, "d1": "+", "tau": 1.0, "d2": "+"}'])
+    def test_analyze_malformed_file(self, tmp_path, capsys, line):
+        rec = tmp_path / "r.jsonl"
+        rec.write_text(line + "\n")
+        assert cli.main(["analyze", "--records", str(rec),
+                         "--delta", "1"]) == cli.EXIT_IO
+        assert "malformed record file" in capsys.readouterr().err
 
     def test_analyze_empty_selection(self, tmp_path, capsys):
         rec = tmp_path / "r.jsonl"

@@ -2,13 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 from scipy import integrate
 
-from homsim.bath import BathFamily, BathSpec
-from homsim.dynamics import (Detector, SourceConfig, conditional_state,
-                             first_click_density, second_click_density,
-                             survival_probability)
+from homsim.bath import BathFamily, BathSpec, gamma_value, phi_phase
+from homsim.dynamics import (Detector, SourceConfig, coherence,
+                             conditional_state, first_click_density,
+                             second_click_density, survival_probability)
 
 OHMIC = BathSpec(BathFamily.OHMIC, 0.5, 10.0)
 MARKOV = BathSpec(BathFamily.MARKOVIAN, 0.5, 10.0)
@@ -25,6 +26,33 @@ class TestSourceConfig:
     def test_positive_rate(self):
         with pytest.raises(ValueError):
             SourceConfig.identical_sources(0.0, OHMIC)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_finite_rate(self, bad):
+        with pytest.raises(ValueError):
+            SourceConfig.identical_sources(bad, OHMIC)
+
+
+class TestCoherence:
+    def test_identical_sources_have_no_phase(self):
+        taus = np.array([0.0, 0.5, 7.0])
+        mag, phi = coherence(SRC, np.array([1.0, 2.0, 3.0]), taus)
+        np.testing.assert_array_equal(phi, [0.0, 0.0, 0.0])
+        np.testing.assert_allclose(
+            mag, [math.exp(-2 * gamma_value(OHMIC, t)) for t in taus],
+            rtol=1e-15)
+
+    def test_nonidentical_matches_scalar_parts(self):
+        b1 = BathSpec(BathFamily.POWER_LAW, 0.25, 10.0, n=2.5)
+        b2 = BathSpec(BathFamily.POWER_LAW, 0.5, 10.0, n=3.5)
+        src = SourceConfig(g=0.01, bath1=b1, bath2=b2, identical=False)
+        t1s, taus = np.array([0.0, 4.0, 30.0]), np.array([1.0, 0.2, 12.0])
+        mag, phi = coherence(src, t1s, taus)
+        for i, (t1, tau) in enumerate(zip(t1s, taus)):
+            assert mag[i] == pytest.approx(
+                math.exp(-(gamma_value(b1, tau) + gamma_value(b2, tau))),
+                rel=1e-14)
+            assert phi[i] == phi_phase(b1, b2, t1, t1 + tau)
 
 
 class TestSurvival:

@@ -87,6 +87,25 @@ class TestSimulateEnsemble:
         with pytest.raises(ValueError):
             simulate_ensemble(1, 0, SRC_M)
 
+    def test_nonidentical_powerlaw_worker_invariant(self):
+        src = SourceConfig(0.01, BathSpec(BathFamily.POWER_LAW, 0.5, 10.0, n=2.5),
+                           BathSpec(BathFamily.POWER_LAW, 0.5, 10.0, n=3.5),
+                           identical=False)
+        assert simulate_ensemble(9, 5000, src, workers=1) == \
+            simulate_ensemble(9, 5000, src, workers=2)
+
+
+class TestWindow:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
+    def test_t1_max_must_be_finite_and_positive(self, bad):
+        with pytest.raises(ValueError):
+            Window(delta=1.0, t1_max=bad)
+
+    def test_infinite_width_allowed(self):
+        assert Window(delta=math.inf).delta == math.inf
+        with pytest.raises(ValueError):
+            Window(delta=math.nan)
+
 
 class TestEstimateVisibility:
     def test_all_same_detector(self):
@@ -169,6 +188,14 @@ class TestBinnedVisibility:
             p_same = (1 + expected) / 2
             sigma_nu = 2 * math.sqrt(p_same * (1 - p_same) / count)
             assert abs(nu - expected) < 4 * sigma_nu + 0.01
+
+    def test_last_edge_inclusive(self):
+        from homsim.trajectories import ClickRecord
+        records = [ClickRecord(t1=0.1, d1=Detector.PLUS, tau=tau,
+                               d2=Detector.PLUS)
+                   for tau in (0.0, 1.0, 2.5, 4.0)]
+        binned = binned_visibility(records, [0.0, 2.0, 4.0])
+        assert list(binned.counts) == [2, 2]
 
     def test_bad_edges(self):
         with pytest.raises(ValueError):
