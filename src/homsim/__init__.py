@@ -32,10 +32,7 @@ from .dynamics import (
     survival_probability,
 )
 from .interference import (
-    CurveKind,
-    VisibilityCurve,
     postselected_visibility,
-    sample_curve,
     superohmic_asymptote,
     visibility,
     visibility_nonidentical,

@@ -67,7 +67,8 @@ __all__ = [
 # Frequency beyond which the e^{-w} tail contributes < 1e-25.
 _OMEGA_MAX = 60.0
 _QUAD_OPTS = {"limit": 400, "epsabs": 1e-12, "epsrel": 1e-12}
-# gamma_quadrature must reach this bound or report failure.
+# gamma_quadrature and lambda_phase must reach this bound, relative to
+# max(1, |value|), or report failure.
 _ERR_CEILING = 1e-9
 
 # Thermal series (see _series_gamma).  Row r is a^-p - Re (a + i tau)^-p with
@@ -210,7 +211,7 @@ def gamma_quadrature(bath: BathSpec, tau: float) -> DecoherenceValue:
         parts.append((-osc, e))
     value = math.fsum(v for v, _ in parts)
     err = sum(e for _, e in parts)
-    if not err <= _ERR_CEILING:
+    if not err <= _ERR_CEILING * max(1.0, abs(value)):
         raise QuadratureError(
             f"gamma quadrature reached only {err:.3e} absolute error", err)
     return DecoherenceValue(max(value, 0.0), GammaMethod.QUADRATURE, err)
@@ -340,7 +341,7 @@ def lambda_phase(bath: BathSpec, t1: float, t2: float) -> float:
         value, e = _sine_transform(A, n, t)
         total += coeff * value
         err += abs(coeff) * e
-    if not err <= _ERR_CEILING:
+    if not err <= _ERR_CEILING * max(1.0, abs(total)):
         raise QuadratureError(
             f"lambda quadrature reached only {err:.3e} absolute error", err)
     return total

@@ -53,9 +53,12 @@ def _bath_args(parser):
 
 def _bath(family, A, theta, n=None) -> BathSpec:
     try:
-        return BathSpec(family=BathFamily(family), A=A, theta=theta, n=n)
+        bath = BathSpec(family=BathFamily(family), A=A, theta=theta, n=n)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    if bath.n is not None and bath.n < 1:
+        raise UsageError(f"Gamma diverges for --exponent {bath.n} < 1")
+    return bath
 
 
 def _make_bath(args) -> BathSpec:
@@ -100,8 +103,6 @@ def cmd_gamma(args) -> int:
     bath = _make_bath(args)
     if bath.family is BathFamily.MARKOVIAN:
         raise UsageError("gamma table needs a bath with a spectral density")
-    if bath.n < 1:
-        raise UsageError(f"Gamma diverges for --exponent {bath.n} < 1")
     taus = _tau_grid(args)
     rows = zip(taus, gamma_closed_array(bath, taus),
                [gamma_quadrature(bath, float(t)).gamma_big for t in taus])
@@ -109,40 +110,26 @@ def cmd_gamma(args) -> int:
     return EXIT_OK
 
 
-def _three_sources(args) -> list[SourceConfig]:
-    return [_curve_source(_bath(f, args.A, args.theta))
-            for f in ("ohmic", "superohmic", "markovian")]
+_FIGURE_BATHS = ("ohmic", "superohmic", "markovian")
 
 
-def cmd_fig1(args) -> int:
-    sources = _three_sources(args)
-    rows = [(t, *(visibility(src, t) for src in sources))
-            for t in _tau_grid(args).tolist()]
-    _write_csv(args.out, ["tau", "nu_ohmic", "nu_superohmic", "nu_markovian"],
-               rows)
-    return EXIT_OK
+def cmd_curve(args) -> int:
+    """fig1, fig2, visibility and windowed: one array call per column.
 
-
-def cmd_fig2(args) -> int:
-    sources = _three_sources(args)
-    rows = [(d, *(windowed_visibility(src, d) for src in sources))
-            for d in _delta_grid(args).tolist()]
-    _write_csv(args.out, ["delta", "nu_ohmic", "nu_superohmic",
-                          "nu_markovian"], rows)
-    return EXIT_OK
-
-
-def cmd_visibility(args) -> int:
-    src = _curve_source(_make_bath(args))
-    rows = [(t, visibility(src, t)) for t in _tau_grid(args).tolist()]
-    _write_csv(args.out, ["tau", "nu"], rows)
-    return EXIT_OK
-
-
-def cmd_windowed(args) -> int:
-    src = _curve_source(_make_bath(args))
-    rows = [(d, windowed_visibility(src, d)) for d in _delta_grid(args).tolist()]
-    _write_csv(args.out, ["delta", "nu"], rows)
+    The figures hold one column per reference bath, the single curves one
+    for the bath of --bath; the grid is tau for nu and Delta for nu'.
+    """
+    if args.figure:
+        baths = [_bath(f, args.A, args.theta) for f in _FIGURE_BATHS]
+        names = [f"nu_{f}" for f in _FIGURE_BATHS]
+    else:
+        baths, names = [_make_bath(args)], ["nu"]
+    if args.windowed:
+        grid, kernel, axis = _delta_grid(args), windowed_visibility, "delta"
+    else:
+        grid, kernel, axis = _tau_grid(args), visibility, "tau"
+    columns = [kernel(_curve_source(bath), grid) for bath in baths]
+    _write_csv(args.out, [axis, *names], zip(grid, *columns))
     return EXIT_OK
 
 
@@ -231,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau-max", type=float, default=10.0)
     p.add_argument("--points", type=int, default=200)
     p.add_argument("--out", default="fig1.csv")
-    p.set_defaults(func=cmd_fig1)
+    p.set_defaults(func=cmd_curve, figure=True, windowed=False)
 
     p = sub.add_parser("fig2", help="windowed visibility of the three "
                                     "reference baths")
@@ -241,14 +228,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta-max", type=float, default=10.0)
     p.add_argument("--points", type=int, default=200)
     p.add_argument("--out", default="fig2.csv")
-    p.set_defaults(func=cmd_fig2)
+    p.set_defaults(func=cmd_curve, figure=True, windowed=True)
 
     p = sub.add_parser("visibility", help="time-resolved visibility curve")
     _bath_args(p)
     p.add_argument("--tau-max", type=float, default=10.0)
     p.add_argument("--points", type=int, default=200)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_visibility)
+    p.set_defaults(func=cmd_curve, figure=False, windowed=False)
 
     p = sub.add_parser("windowed", help="windowed visibility curve")
     _bath_args(p)
@@ -256,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta-max", type=float, default=10.0)
     p.add_argument("--points", type=int, default=100)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_windowed)
+    p.set_defaults(func=cmd_curve, figure=False, windowed=True)
 
     p = sub.add_parser("simulate", help="draw Monte Carlo click records")
     _bath_args(p)

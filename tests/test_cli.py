@@ -1,11 +1,17 @@
 """CLI exit codes and output files."""
 
+import contextlib
 import csv
+import io
 import math
+import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homsim import cli
+from homsim.bath import BathFamily, BathSpec, gamma_quadrature
 
 
 def read_csv(path):
@@ -93,6 +99,19 @@ class TestGamma:
         _, rows = read_csv(out)
         assert all(abs(float(r[1]) - float(r[2])) <= 1e-12 for r in rows)
         assert float(rows[-1][1]) > 0.0
+
+    def test_hot_powerlaw_table(self, tmp_path):
+        # Gamma runs into the thousands; the oracle's error bound is relative
+        out = tmp_path / "gamma.csv"
+        assert cli.main(["gamma", "--bath", "powerlaw", "--exponent", "1.05",
+                         "--theta", "0.1", "--tau-max", "1000", "--points",
+                         "5", "--out", str(out)]) == cli.EXIT_OK
+        _, rows = read_csv(out)
+        bath = BathSpec(BathFamily.POWER_LAW, 0.5, 0.1, n=1.05)
+        assert float(rows[-1][1]) > 1e3
+        for tau, closed, quad in ([float(v) for v in r] for r in rows):
+            bound = gamma_quadrature(bath, tau).est_abs_error + 1e-12 * closed
+            assert abs(closed - quad) <= bound
 
 
 class TestFigures:
@@ -213,3 +232,42 @@ class TestSimulateAnalyze:
     def test_simulate_unwritable_path(self, tmp_path):
         assert cli.main(["simulate", "--n", "5", "--seed", "1", "--out",
                          str(tmp_path / "no" / "dir.jsonl")]) == cli.EXIT_IO
+
+
+_ANY_FLOAT = st.one_of(st.floats(), st.floats(-1.0, 100.0), st.sampled_from(
+    [math.nan, math.inf, -math.inf, -1.0, 0.0, 0.5, 2.5, 1e-300, 1e300]))
+_GRID_FLAGS = {"fig1": ("--tau-max",), "visibility": ("--tau-max",),
+               "fig2": ("--delta-min", "--delta-max"),
+               "windowed": ("--delta-min", "--delta-max")}
+
+
+@st.composite
+def _curve_argv(draw):
+    command = draw(st.sampled_from(sorted(_GRID_FLAGS)))
+    argv = [command]
+    if command in ("visibility", "windowed"):
+        family = draw(st.sampled_from([f.value for f in BathFamily]))
+        argv += ["--bath", family]
+        if family == "powerlaw":
+            argv += ["--exponent", repr(draw(_ANY_FLOAT))]
+    for flag in ("--A", "--theta") + _GRID_FLAGS[command]:
+        if draw(st.booleans()):
+            argv += [flag, repr(draw(_ANY_FLOAT))]
+    points = draw(st.one_of(st.integers(-3, 40).map(str),
+                            st.sampled_from(["nan", "inf", "-1", "2.5"])))
+    return argv + ["--points", points, "--out", os.devnull]
+
+
+class TestCurveExitCodes:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(argv=_curve_argv())
+    def test_documented_code_without_traceback(self, argv):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in {cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_NUMERIC,
+                        cli.EXIT_IO, cli.EXIT_EMPTY}
+        assert "Traceback" not in err.getvalue()

@@ -1,15 +1,18 @@
 """Visibility functions and their closed-form cross-checks."""
 
+import csv
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special
 
+from homsim import cli
 from homsim.bath import BathFamily, BathSpec, phi_phase
-from homsim.dynamics import SourceConfig
-from homsim.interference import (CurveKind, VisibilityCurve,
-                                 postselected_visibility, sample_curve,
+from homsim.dynamics import SourceConfig, second_click_density
+from homsim.interference import (postselected_visibility,
                                  superohmic_asymptote, visibility,
                                  visibility_nonidentical, windowed_visibility,
                                  windowed_visibility_markovian,
@@ -22,6 +25,46 @@ MARKOV = BathSpec(BathFamily.MARKOVIAN, 0.5, 10.0)
 
 def src_of(bath, g=0.01):
     return SourceConfig.identical_sources(g, bath)
+
+
+# Adaptive oracles for the fixed window rule: nested adaptive quadrature over
+# the scalar visibility.  The post-selected one computes both routes, the
+# branch ratio and the weighted average, and requires them to agree.
+_EPSABS, _EPSREL = 1e-10, 1e-11
+
+
+def _adaptive_windowed(src, delta):
+    total, _ = integrate.quad(lambda t: visibility(src, t), 0.0, delta,
+                              epsabs=_EPSABS, epsrel=_EPSREL, limit=400)
+    return total / delta
+
+
+def _adaptive_postselected(src, delta):
+    g = src.g
+    p_same, p_diff = (integrate.quad(
+        lambda t: second_click_density(src, 0.0, t, same), 0.0, delta,
+        epsabs=_EPSABS, epsrel=_EPSREL, limit=400)[0] for same in (True, False))
+    ratio_form = abs(p_same - p_diff) / (p_same + p_diff)
+    numer, _ = integrate.quad(
+        lambda t: g * math.exp(-g * t) * visibility(src, t), 0.0, delta,
+        epsabs=_EPSABS, epsrel=_EPSREL, limit=400)
+    average_form = numer / -math.expm1(-g * delta)
+    assert abs(ratio_form - average_form) <= 1e-8
+    return average_form
+
+
+def _split_panel_average(src, delta):
+    """(1/Delta) int_0^Delta nu, adaptive on panels split at every 2^j.
+
+    A single adaptive rule over [0, Delta] can step over a narrow spike at
+    tau = 0; the power-of-two splits put a panel edge at every scale.
+    """
+    edges = [0.0] + [2.0 ** j for j in range(-40, 11) if 2.0 ** j < delta]
+    edges.append(delta)
+    return math.fsum(
+        integrate.quad(lambda t: visibility(src, t), lo, hi, epsabs=1e-14,
+                       epsrel=1e-13, limit=200)[0]
+        for lo, hi in zip(edges, edges[1:])) / delta
 
 
 class TestVisibility:
@@ -117,7 +160,6 @@ class TestWindowed:
         # independent recomputation of |p++ - p+-| / (p++ + p+-)
         src = src_of(MARKOV)
         delta = 1.0
-        from homsim.dynamics import second_click_density
         p_same, _ = integrate.quad(
             lambda t: second_click_density(src, 0, t, True), 0, delta,
             epsabs=1e-13)
@@ -230,19 +272,148 @@ class TestSuperohmicAsymptote:
         assert superohmic_asymptote(SUPER) == pytest.approx(exact, abs=2e-6)
 
 
-class TestCurves:
-    def test_single_point(self):
-        curve = sample_curve(CurveKind.TIME_RESOLVED, src_of(OHMIC), [0.0])
-        assert curve.values.tolist() == [1.0]
+class TestFixedRule:
+    """The fixed window rule against the adaptive oracles and closed forms."""
 
-    def test_windowed_curve_bounds(self):
-        curve = sample_curve(CurveKind.WINDOWED, src_of(MARKOV),
-                             np.geomspace(1e-3, 10, 7))
-        assert np.all((curve.values >= 0) & (curve.values <= 1))
-        assert np.all(np.diff(curve.values) <= 0)
+    @pytest.mark.parametrize("bath", [
+        OHMIC, SUPER, MARKOV, BathSpec(BathFamily.OHMIC, 2.0, 1.0),
+        BathSpec(BathFamily.SUPEROHMIC, 0.5, 1.0),
+        BathSpec(BathFamily.POWER_LAW, 0.5, 100.0, n=2.5),
+        BathSpec(BathFamily.MARKOVIAN, 2.0, 1.0)],
+        ids=["ohmic", "superohmic", "markovian", "ohmic-A2-theta1",
+             "superohmic-theta1", "powerlaw-theta100", "markovian-A2-theta1"])
+    def test_matches_adaptive_routes(self, bath):
+        src = src_of(bath)
+        deltas = [1e-2, 0.3, 4.0, 100.0]
+        windowed = windowed_visibility(src, deltas)
+        post = postselected_visibility(src, deltas)
+        for d, w, p in zip(deltas, windowed, post):
+            assert abs(w - _adaptive_windowed(src, d)) <= 1e-10
+            assert abs(p - _adaptive_postselected(src, d)) <= 1e-10
 
-    def test_grid_must_increase(self):
+    @pytest.mark.parametrize("family, n", [("ohmic", None),
+                                           ("superohmic", None),
+                                           ("powerlaw", 2.5)])
+    def test_matches_split_panel_oracle(self, family, n):
+        # hot to cold, weak to strong coupling, windows 1e-4 to 1e3
+        deltas = np.geomspace(1e-4, 1e3, 5)
+        worst = 0.0
+        for theta in (0.1, 1.0, 10.0, 100.0, 1000.0):
+            for A in (0.05, 0.5, 2.0):
+                src = src_of(BathSpec(BathFamily(family), A, theta, n=n))
+                got = windowed_visibility(src, deltas)
+                want = np.array([_split_panel_average(src, d) for d in deltas])
+                worst = max(worst, np.max(np.abs(got / want - 1)))
+        assert worst <= 5e-15
+
+    @pytest.mark.parametrize("A, theta", [(0.5, 10.0), (2.0, 1.0), (3.0, 0.05)])
+    def test_markovian_closed_forms(self, A, theta):
+        bath = BathSpec(BathFamily.MARKOVIAN, A, theta)
+        k = 2 * A * math.pi / theta
+        deltas = np.geomspace(1e-4, 1e3, 29)
+        windowed = windowed_visibility(src_of(bath), deltas)
+        want = -np.expm1(-k * deltas) / (k * deltas)
+        assert np.max(np.abs(windowed / want - 1)) <= 1e-15
+        for g in (1e-4, 1e-2, 1.0):
+            with_inf = np.r_[deltas, math.inf]
+            post = postselected_visibility(src_of(bath, g), with_inf)
+            want = np.r_[g * -np.expm1(-(g + k) * deltas)
+                         / ((g + k) * -np.expm1(-g * deltas)), g / (g + k)]
+            assert np.max(np.abs(post / want - 1)) <= 1e-15
+
+    def test_postselected_strong_markovian_long_window(self):
+        # strong dephasing, long window: nu is a spike 1/k wide at tau = 0
+        g, k, delta = 0.01, 4 * math.pi, 1000.0
+        bath = BathSpec(BathFamily.MARKOVIAN, 2.0, 1.0)
+        expected = g * -math.expm1(-(g + k) * delta) \
+            / ((g + k) * -math.expm1(-g * delta))
+        assert postselected_visibility(src_of(bath, g), delta) == \
+            pytest.approx(expected, rel=1e-13)
+
+    def test_fig2_hot_long_windows(self, tmp_path):
+        # the spike at tau = 0 is 1/k = 0.008 wide, which a single adaptive
+        # rule over [0, Delta] can step over
+        out = tmp_path / "fig2.csv"
+        assert cli.main(["fig2", "--theta", "0.1", "--A", "2", "--delta-min",
+                         "1e-3", "--delta-max", "1000", "--points", "7",
+                         "--out", str(out)]) == cli.EXIT_OK
+        with open(out) as fh:
+            rows = [[float(v) for v in row] for row in list(csv.reader(fh))[1:]]
+        k = 2 * 2.0 * math.pi / 0.1
+        for delta, ohmic, superohmic, markovian in rows:
+            assert markovian == pytest.approx(
+                0.1 * -math.expm1(-k * delta) / (2 * 2.0 * math.pi * delta),
+                rel=1e-12)
+            for family, got in (("ohmic", ohmic), ("superohmic", superohmic)):
+                src = src_of(BathSpec(BathFamily(family), 2.0, 0.1))
+                assert got == pytest.approx(_split_panel_average(src, delta),
+                                            rel=1e-10)
+
+    def test_superohmic_long_window_tends_to_floor(self):
+        # nu' - floor falls as 1/Delta
+        floor = superohmic_asymptote(SUPER)
+        gaps = windowed_visibility(src_of(SUPER), [1e4, 1e6, 1e8]) - floor
+        assert np.all(gaps > 0)
+        assert gaps[1] == pytest.approx(gaps[0] / 100, rel=1e-3)
+        assert gaps[2] < 1e-8
+
+    def test_scalar_in_float_out(self):
+        assert isinstance(windowed_visibility(src_of(OHMIC), 1.0), float)
+        assert isinstance(postselected_visibility(src_of(OHMIC), 1.0), float)
+        assert isinstance(visibility(src_of(OHMIC), 1.0), float)
+        assert windowed_visibility(src_of(OHMIC), np.ones((2, 3))).shape \
+            == (2, 3)
+
+    def test_rejects_bad_windows_in_array(self):
+        for bad in (math.nan, -1.0):
+            with pytest.raises(ValueError):
+                windowed_visibility(src_of(OHMIC), [1.0, bad])
+            with pytest.raises(ValueError):
+                postselected_visibility(src_of(OHMIC), [1.0, bad])
         with pytest.raises(ValueError):
-            VisibilityCurve(grid=np.array([1.0, 0.5]),
-                            values=np.array([0.5, 0.5]),
-                            kind=CurveKind.TIME_RESOLVED)
+            windowed_visibility(src_of(OHMIC), [1.0, math.inf])
+
+    def test_visibility_vectorizes(self):
+        src = src_of(SUPER)
+        taus = np.linspace(0.0, 50.0, 11)
+        values = visibility(src, taus)
+        assert values.shape == taus.shape
+        for t, v in zip(taus, values):
+            assert v == pytest.approx(visibility(src, float(t)), rel=1e-15)
+        with pytest.raises(ValueError):
+            visibility(src, [1.0, -1.0])
+
+
+@st.composite
+def _sources(draw):
+    family = draw(st.sampled_from(list(BathFamily)))
+    n = draw(st.floats(1.0, 5.0)) if family is BathFamily.POWER_LAW else None
+    bath = BathSpec(family, draw(st.floats(0.0, 3.0)),
+                    draw(st.floats(0.05, 1e3)), n=n)
+    return SourceConfig.identical_sources(draw(st.floats(1e-4, 1.0)), bath)
+
+
+_DELTAS = st.lists(st.floats(1e-4, 1e3), min_size=1, max_size=8,
+                   unique=True).map(sorted)
+
+
+class TestWindowProperties:
+    """Window kernels over random baths and sorted window grids."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(src=_sources(), deltas=_DELTAS)
+    def test_bounded_and_monotone(self, src, deltas):
+        windowed = windowed_visibility(src, deltas)
+        post = postselected_visibility(src, deltas)
+        assert np.all((windowed >= 0) & (windowed <= 1))
+        assert np.all((post >= 0) & (post <= 1))
+        assert np.all(np.diff(windowed) <= 1e-12)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(src=_sources(), deltas=_DELTAS)
+    def test_array_equals_scalar_calls(self, src, deltas):
+        for kernel in (windowed_visibility, postselected_visibility):
+            values = kernel(src, deltas)
+            for d, v in zip(deltas, values):
+                assert abs(kernel(src, d) - v) <= 1e-15
+
