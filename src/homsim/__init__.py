@@ -42,6 +42,7 @@ from .interference import (
 )
 from .trajectories import (
     BinnedVisibility,
+    ClickBatch,
     ClickRecord,
     EmptySelectionError,
     VisibilityEstimate,

@@ -84,13 +84,16 @@ def _delta_grid(args) -> np.ndarray:
 
 
 def _write_csv(path, header, rows):
+    """Write rows of plain numbers; a NaN or inf is a numerical failure."""
+    rows = [[repr(float(v)) if isinstance(v, float) else v for v in row]
+            for row in rows]
+    if any(v in ("nan", "inf", "-inf") for row in rows for v in row):
+        raise FloatingPointError(f"NaN or inf in the {', '.join(header)} table")
     try:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            for row in rows:
-                writer.writerow([repr(float(v)) if isinstance(v, float) else v
-                                 for v in row])
+            writer.writerows(rows)
     except OSError as exc:
         raise _IOFailure(str(exc)) from exc
 
@@ -141,8 +144,11 @@ def cmd_simulate(args) -> int:
         raise UsageError(str(exc)) from exc
     if args.n < 1 or args.seed < 0 or args.workers < 1:
         raise UsageError("need --n >= 1, --seed >= 0 and --workers >= 1")
-    records = trajectories.simulate_ensemble(args.seed, args.n, src,
-                                             workers=args.workers)
+    try:
+        records = trajectories.simulate_ensemble(args.seed, args.n, src,
+                                                 workers=args.workers)
+    except ValueError as exc:  # click times overflow when 1/g is huge
+        raise FloatingPointError(str(exc)) from exc
     try:
         with open(args.out, "w") as fh:
             trajectories.write_records(fh, records)
@@ -175,13 +181,11 @@ def cmd_analyze(args) -> int:
     print(f"efficiency:  {est.efficiency:.6f}")
 
     if args.bins:
-        hi = args.delta
-        if not math.isfinite(hi):
-            hi = max(r.tau for r in records)
+        hi = args.delta if math.isfinite(args.delta) else records.tau.max()
         edges = np.linspace(0.0, hi, args.bins + 1)
-        binned = trajectories.binned_visibility(
-            [r for r in records if window.t1_max is None
-             or r.t1 <= window.t1_max], edges)
+        if window.t1_max is not None:
+            records = records.select(records.t1 <= window.t1_max)
+        binned = trajectories.binned_visibility(records, edges)
         rows = []
         for i, mid in enumerate(binned.midpoints):
             if binned.counts[i] == 0:
@@ -251,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="decay rate gamma/omega_c")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="must be >= 1; sampling is serial, so it has no effect")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 
@@ -278,7 +283,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    except QuadratureError as exc:
+    except (QuadratureError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except _IOFailure as exc:

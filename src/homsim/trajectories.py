@@ -8,14 +8,13 @@ coherence factor at that separation.
 
 Records are generated in fixed-size chunks, each from its own counter-based
 substream spawned off the ensemble seed, so the output is a pure function of
-(seed, n, source) for any number of workers.
+(seed, n, source).  Records are held as columns, in a ClickBatch.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +23,7 @@ from .dynamics import Detector, SourceConfig, coherence_factor
 
 __all__ = [
     "BinnedVisibility",
+    "ClickBatch",
     "ClickRecord",
     "EmptySelectionError",
     "VisibilityEstimate",
@@ -80,53 +80,84 @@ class VisibilityEstimate:
     efficiency: float
 
 
-def _draw(rng: np.random.Generator, src: SourceConfig, m: int):
-    """m records from the exact densities, as arrays (t1, d1, tau, d2)."""
-    g = src.g
-    t1 = rng.exponential(1.0 / (2.0 * g), size=m)
-    d1 = rng.integers(0, 2, size=m)
-    tau = rng.exponential(1.0 / g, size=m)
-    u = rng.random(size=m)
-    same = u < 0.5 * (1.0 + coherence_factor(src, t1, tau))
-    d2 = np.where(same, d1, 1 - d1)
-    return t1, d1, tau, d2
+@dataclass(frozen=True, eq=False)
+class ClickBatch:
+    """Click records as columns: t1, tau float64 and d1, d2 int8 (0 = +, 1 = -).
+
+    Raises ValueError unless every t1 and tau is finite and >= 0.  Iterating
+    yields ClickRecord objects; every other use reads the columns.
+    """
+
+    t1: np.ndarray
+    d1: np.ndarray
+    tau: np.ndarray
+    d2: np.ndarray
+
+    def __post_init__(self):
+        for col, dtype in zip(_COLUMNS, (float, np.int8, float, np.int8)):
+            object.__setattr__(self, col, np.asarray(getattr(self, col), dtype))
+        if not all(np.all((x >= 0) & (x < math.inf)) for x in (self.t1, self.tau)):
+            raise ValueError("t1 and tau must be finite and >= 0")
+
+    @classmethod
+    def of(cls, records) -> "ClickBatch":
+        """A batch as it is, or the records of any iterable of ClickRecord."""
+        if isinstance(records, ClickBatch):
+            return records
+        rows = [(r.t1, _SIGNS.index(r.d1), r.tau, _SIGNS.index(r.d2))
+                for r in records]
+        return cls(*zip(*rows)) if rows else cls([], [], [], [])
+
+    def select(self, keep) -> "ClickBatch":
+        """The records where the boolean mask ``keep`` is true."""
+        return ClickBatch(*(getattr(self, col)[keep] for col in _COLUMNS))
+
+    def __len__(self) -> int:
+        return self.t1.size
+
+    def __iter__(self):
+        for a, b, c, d in zip(*(getattr(self, col).tolist() for col in _COLUMNS)):
+            yield ClickRecord(t1=a, d1=_DETECTORS[b], tau=c, d2=_DETECTORS[d])
+
+    def __eq__(self, other):
+        return isinstance(other, ClickBatch) and all(
+            np.array_equal(getattr(self, col), getattr(other, col))
+            for col in _COLUMNS)
 
 
+_COLUMNS = ("t1", "d1", "tau", "d2")
 _DETECTORS = (Detector.PLUS, Detector.MINUS)
+_SIGNS = tuple(d.value for d in _DETECTORS)
 
 
-def _records(t1, d1, tau, d2) -> list[ClickRecord]:
-    return [ClickRecord(t1=a, d1=_DETECTORS[b], tau=c, d2=_DETECTORS[d])
-            for a, b, c, d in zip(t1.tolist(), d1.tolist(),
-                                  tau.tolist(), d2.tolist())]
+def _draw(rng: np.random.Generator, src: SourceConfig, m: int) -> ClickBatch:
+    """m records from the exact densities."""
+    t1 = rng.exponential(1.0 / (2.0 * src.g), size=m)
+    d1 = rng.integers(0, 2, size=m)
+    tau = rng.exponential(1.0 / src.g, size=m)
+    same = rng.random(size=m) < 0.5 * (1.0 + coherence_factor(src, t1, tau))
+    return ClickBatch(t1, d1, tau, np.where(same, d1, 1 - d1))
 
 
 def sample_record(rng: np.random.Generator, src: SourceConfig) -> ClickRecord:
     """Draw one two-photon click record from the exact densities."""
-    return _records(*_draw(rng, src, 1))[0]
-
-
-def _sample_chunk(src: SourceConfig, seed: int, chunk: int, m: int):
-    ss = np.random.SeedSequence(seed, spawn_key=(chunk,))
-    return _draw(np.random.Generator(np.random.Philox(ss)), src, m)
+    return next(iter(_draw(rng, src, 1)))
 
 
 def simulate_ensemble(seed: int, n: int, src: SourceConfig,
-                      workers: int = 1) -> list[ClickRecord]:
-    """Generate n records; a pure function of (seed, n, src) for any workers."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    jobs = [(src, seed, c, min(CHUNK_SIZE, n - c * CHUNK_SIZE))
-            for c in range((n + CHUNK_SIZE - 1) // CHUNK_SIZE)]
-    if workers <= 1:
-        parts = [_sample_chunk(*job) for job in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_sample_chunk, *zip(*jobs), chunksize=8))
-    records = []
-    for part in parts:
-        records.extend(_records(*part))
-    return records
+                      workers: int = 1) -> ClickBatch:
+    """Generate n records, a pure function of (seed, n, src).
+
+    Sampling is serial: ``workers`` must be >= 1 but changes nothing.
+    """
+    if n < 1 or workers < 1:
+        raise ValueError("need n >= 1 and workers >= 1")
+    parts = [_draw(np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(seed, spawn_key=(c,)))), src,
+        min(CHUNK_SIZE, n - start))
+        for c, start in enumerate(range(0, n, CHUNK_SIZE))]
+    return ClickBatch(*(np.concatenate([getattr(p, col) for p in parts])
+                        for col in _COLUMNS))
 
 
 def _wilson(k: int, n: int, z: float = _Z95) -> tuple[float, float]:
@@ -148,37 +179,25 @@ def _fold_to_visibility(p_low: float, p_high: float) -> tuple[float, float]:
     return min(lo, hi), max(lo, hi)
 
 
-def _in_window(rec: ClickRecord, window: Window) -> bool:
-    if rec.tau > window.delta:
-        return False
-    return window.t1_max is None or rec.t1 <= window.t1_max
-
-
 def estimate_visibility(records, window: Window) -> VisibilityEstimate:
     """Post-selected visibility with a 95% score interval.
 
     Raises EmptySelectionError when nothing survives the window, which is a
     different outcome from an estimate of zero.
     """
-    records = list(records)
-    total = len(records)
-    n_same = n_diff = 0
-    for rec in records:
-        if _in_window(rec, window):
-            if rec.d1 == rec.d2:
-                n_same += 1
-            else:
-                n_diff += 1
-    kept = n_same + n_diff
+    batch = ClickBatch.of(records)
+    keep = batch.tau <= window.delta
+    if window.t1_max is not None:
+        keep &= batch.t1 <= window.t1_max
+    kept = int(np.count_nonzero(keep))
+    n_same = int(np.count_nonzero(keep & (batch.d1 == batch.d2)))
     if kept == 0:
         raise EmptySelectionError(
-            f"no records inside window {window} (out of {total})")
-    nu_hat = abs(n_same - n_diff) / kept
+            f"no records inside window {window} (out of {len(batch)})")
     ci_low, ci_high = _fold_to_visibility(*_wilson(n_same, kept))
     return VisibilityEstimate(
-        n_same=n_same, n_diff=n_diff, nu_hat=nu_hat,
-        ci_low=ci_low, ci_high=ci_high,
-        efficiency=kept / total if total else 0.0)
+        n_same=n_same, n_diff=kept - n_same, nu_hat=abs(2 * n_same - kept) / kept,
+        ci_low=ci_low, ci_high=ci_high, efficiency=kept / len(batch))
 
 
 @dataclass(frozen=True)
@@ -201,58 +220,48 @@ def binned_visibility(records, bin_edges) -> BinnedVisibility:
     edges = np.asarray(bin_edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0):
         raise ValueError("bin_edges must be strictly increasing with >= 2 entries")
-    records = list(records)
-    taus = np.array([r.tau for r in records], dtype=float)
-    same = np.array([r.d1 == r.d2 for r in records], dtype=bool)
-    idx = np.searchsorted(edges, taus, side="right") - 1
-    # right edge of the last bin is inclusive
-    idx = np.where(taus == edges[-1], edges.size - 2, idx)
-    inside = (idx >= 0) & (idx < edges.size - 1)
-
+    batch = ClickBatch.of(records)
     nbins = edges.size - 1
-    counts = np.zeros(nbins, dtype=int)
-    nu, lo, hi = [], [], []
-    for b in range(nbins):
-        mask = inside & (idx == b)
-        counts[b] = int(mask.sum())
-        if counts[b] == 0:
-            nu.append(None)
-            lo.append(None)
-            hi.append(None)
-            continue
-        k = int(same[mask].sum())
-        nu.append(abs(2 * k - counts[b]) / counts[b])
-        wl, wh = _fold_to_visibility(*_wilson(k, counts[b]))
-        lo.append(wl)
-        hi.append(wh)
-    return BinnedVisibility(edges=edges, counts=counts, nu_hat=tuple(nu),
-                            ci_low=tuple(lo), ci_high=tuple(hi))
+    idx = np.searchsorted(edges, batch.tau, side="right") - 1
+    # right edge of the last bin is inclusive
+    idx[batch.tau == edges[-1]] = nbins - 1
+    inside = (idx >= 0) & (idx < nbins)
+    counts = np.bincount(idx[inside], minlength=nbins)
+    same = np.bincount(idx[inside & (batch.d1 == batch.d2)], minlength=nbins)
+    pairs = list(zip(same.tolist(), counts.tolist()))
+    cis = [_fold_to_visibility(*_wilson(k, n)) if n else (None, None)
+           for k, n in pairs]
+    return BinnedVisibility(
+        edges=edges, counts=counts,
+        nu_hat=tuple(abs(2 * k - n) / n if n else None for k, n in pairs),
+        ci_low=tuple(lo for lo, _ in cis), ci_high=tuple(hi for _, hi in cis))
 
 
 def write_records(fh, records) -> None:
-    """Serialize records as one JSON object per line."""
-    for rec in records:
-        fh.write(json.dumps({"t1": rec.t1, "d1": rec.d1.value,
-                             "tau": rec.tau, "d2": rec.d2.value}))
-        fh.write("\n")
+    """Serialize records as one JSON object per line, in json.dumps layout."""
+    batch = ClickBatch.of(records)
+    for start in range(0, len(batch), CHUNK_SIZE):
+        cols = (getattr(batch, col)[start:start + CHUNK_SIZE].tolist()
+                for col in _COLUMNS)
+        fh.write("".join(f'{{"t1": {a!r}, "d1": "{_SIGNS[b]}", "tau": {c!r}, '
+                         f'"d2": "{_SIGNS[d]}"}}\n' for a, b, c, d in zip(*cols)))
 
 
-def read_records(fh) -> list[ClickRecord]:
-    records = []
-    for line in fh:
-        line = line.strip()
-        if not line:
-            continue
-        obj = json.loads(line)
-        records.append(ClickRecord(t1=float(obj["t1"]), d1=Detector(obj["d1"]),
-                                   tau=float(obj["tau"]), d2=Detector(obj["d2"])))
-    return records
+def read_records(fh) -> ClickBatch:
+    """Parse JSONL records; a bad line raises ValueError, KeyError or TypeError."""
+    t1, d1, tau, d2 = [], [], [], []
+    for obj in (json.loads(line) for line in fh if line.strip()):
+        t1.append(float(obj["t1"]))
+        d1.append(_SIGNS.index(obj["d1"]))
+        tau.append(float(obj["tau"]))
+        d2.append(_SIGNS.index(obj["d2"]))
+    return ClickBatch(t1, d1, tau, d2)
 
 
 def ks_statistic_tau(records, g: float) -> tuple[float, float]:
     """Kolmogorov-Smirnov statistic and p-value of tau against Exp(rate=g)."""
     from scipy import stats
 
-    taus = [r.tau for r in records]
-    result = stats.kstest(taus, stats.expon(scale=1.0 / g).cdf)
+    result = stats.kstest(ClickBatch.of(records).tau,
+                          stats.expon(scale=1.0 / g).cdf)
     return result.statistic, result.pvalue

@@ -5,6 +5,7 @@ import csv
 import io
 import math
 import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -137,6 +138,17 @@ class TestFigures:
             assert all(b <= a for a, b in zip(vals, vals[1:]))
             assert vals[0] > 0.999
 
+    @pytest.mark.parametrize("argv", [
+        ["fig1", "--A", "1e308", "--points", "3"],
+        ["fig2", "--theta", "1e300", "--points", "3"],
+    ])
+    def test_non_finite_curve_is_numerical_failure(self, tmp_path, capsys,
+                                                  argv):
+        out = tmp_path / "x.csv"
+        assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_NUMERIC
+        assert "numerical failure" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSimulateAnalyze:
     def test_simulate_repeatable(self, tmp_path):
@@ -209,7 +221,9 @@ class TestSimulateAnalyze:
     @pytest.mark.parametrize("line", [
         "not json", '{"t1": 0.1, "d1": "+", "tau": 1.0}',
         '{"t1": 0.1, "d1": "x", "tau": 1.0, "d2": "+"}', "[1, 2]",
-        '{"t1": -1.0, "d1": "+", "tau": 1.0, "d2": "+"}'])
+        '{"t1": -1.0, "d1": "+", "tau": 1.0, "d2": "+"}',
+        '{"t1": 0.1, "d1": "+", "tau": NaN, "d2": "+"}',
+        '{"t1": Infinity, "d1": "+", "tau": 1.0, "d2": "+"}'])
     def test_analyze_malformed_file(self, tmp_path, capsys, line):
         rec = tmp_path / "r.jsonl"
         rec.write_text(line + "\n")
@@ -233,6 +247,13 @@ class TestSimulateAnalyze:
         assert cli.main(["simulate", "--n", "5", "--seed", "1", "--out",
                          str(tmp_path / "no" / "dir.jsonl")]) == cli.EXIT_IO
 
+    def test_simulate_overflowing_times(self, tmp_path):
+        # 1/g overflows, so the drawn click times are infinite
+        out = tmp_path / "r.jsonl"
+        assert cli.main(["simulate", "--g", "5e-324", "--n", "5", "--seed",
+                         "1", "--out", str(out)]) == cli.EXIT_NUMERIC
+        assert not out.exists()
+
 
 _ANY_FLOAT = st.one_of(st.floats(), st.floats(-1.0, 100.0), st.sampled_from(
     [math.nan, math.inf, -math.inf, -1.0, 0.0, 0.5, 2.5, 1e-300, 1e300]))
@@ -255,19 +276,75 @@ def _curve_argv(draw):
             argv += [flag, repr(draw(_ANY_FLOAT))]
     points = draw(st.one_of(st.integers(-3, 40).map(str),
                             st.sampled_from(["nan", "inf", "-1", "2.5"])))
-    return argv + ["--points", points, "--out", os.devnull]
+    return argv + ["--points", points]
+
+
+def _exit_code(argv):
+    """Run the CLI in-process; the exit code must be documented and stderr
+    must hold no traceback."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in {cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_NUMERIC,
+                    cli.EXIT_IO, cli.EXIT_EMPTY}
+    assert "Traceback" not in err.getvalue()
+    return code
 
 
 class TestCurveExitCodes:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(argv=_curve_argv())
     def test_documented_code_without_traceback(self, argv):
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            try:
-                code = cli.main(argv)
-            except SystemExit as exc:
-                code = exc.code
-        assert code in {cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_NUMERIC,
-                        cli.EXIT_IO, cli.EXIT_EMPTY}
-        assert "Traceback" not in err.getvalue()
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "curve.csv")
+            if _exit_code(argv + ["--out", out]) == cli.EXIT_OK:
+                _, rows = read_csv(out)
+                assert all(math.isfinite(float(v)) for r in rows for v in r)
+
+
+# half of the draws are sensible values, so that most examples get as far
+# as analyze
+_MC_FLOAT = st.one_of(st.floats(1e-3, 1e3), st.just(math.inf), _ANY_FLOAT)
+
+
+@st.composite
+def _simulate_argv(draw):
+    family = draw(st.sampled_from([f.value for f in BathFamily]))
+    argv = ["simulate", "--bath", family]
+    if family == "powerlaw":
+        argv += ["--exponent", repr(draw(st.floats(1.0, 4.0)))]
+    if draw(st.booleans()):
+        argv += ["--g", repr(draw(_MC_FLOAT))]
+    return argv + [
+        "--n", draw(st.one_of(st.integers(-2, 2000).map(str),
+                              st.sampled_from(["0", "nan", "1e3"]))),
+        "--seed", str(draw(st.integers(-2, 2**40))),
+        "--workers", str(draw(st.sampled_from([-1, 0, 1, 2, 8])))]
+
+
+@st.composite
+def _analyze_argv(draw):
+    argv = ["--delta", repr(draw(_MC_FLOAT))]
+    if draw(st.booleans()):
+        argv += ["--t1-max", repr(draw(_MC_FLOAT))]
+    if draw(st.booleans()):
+        argv += ["--bins", draw(st.one_of(st.integers(-3, 50).map(str),
+                                          st.sampled_from(["nan", "2.5"])))]
+    return argv
+
+
+class TestMonteCarloExitCodes:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(simulate=_simulate_argv(), analyze=_analyze_argv())
+    def test_documented_code_without_traceback(self, simulate, analyze):
+        with tempfile.TemporaryDirectory() as tmp:
+            records = os.path.join(tmp, "records.jsonl")
+            if _exit_code(simulate + ["--out", records]) != cli.EXIT_OK:
+                assert not os.path.exists(records)
+                return
+            _exit_code(["analyze", "--records", records, *analyze,
+                        "--bins-out", os.path.join(tmp, "bins.csv")])

@@ -1,14 +1,19 @@
 """Monte Carlo sampling, post-selection and estimation."""
 
 import io
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from homsim import trajectories
 from homsim.bath import BathFamily, BathSpec
 from homsim.dynamics import Detector, SourceConfig
-from homsim.trajectories import (EmptySelectionError, Window, binned_visibility,
+from homsim.trajectories import (ClickBatch, ClickRecord, EmptySelectionError,
+                                 Window, binned_visibility,
                                  estimate_visibility, ks_statistic_tau,
                                  read_records, sample_record,
                                  simulate_ensemble, write_records)
@@ -86,6 +91,8 @@ class TestSimulateEnsemble:
     def test_rejects_empty_request(self):
         with pytest.raises(ValueError):
             simulate_ensemble(1, 0, SRC_M)
+        with pytest.raises(ValueError):
+            simulate_ensemble(1, 10, SRC_M, workers=0)
 
     def test_nonidentical_powerlaw_worker_invariant(self):
         src = SourceConfig(0.01, BathSpec(BathFamily.POWER_LAW, 0.5, 10.0, n=2.5),
@@ -220,3 +227,85 @@ class TestSerialization:
         obj = json.loads(lines[0])
         assert set(obj) == {"t1", "d1", "tau", "d2"}
         assert obj["d1"] in "+-"
+
+
+# finite non-negative floats, with 0, subnormals and the largest magnitudes
+_TIME = st.one_of(
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    st.floats(0.0, 20.0),
+    st.sampled_from([0.0, 5e-324, 2.2e-308, 1.0, 1e300, 1.7976931348623157e308]))
+_DETECTOR = st.sampled_from(list(Detector))
+
+
+def _batches(times=_TIME, max_size=40):
+    return st.lists(st.builds(ClickRecord, t1=times, d1=_DETECTOR, tau=times,
+                              d2=_DETECTOR),
+                    max_size=max_size).map(ClickBatch.of)
+
+
+def _json_lines(batch) -> str:
+    """The record format: one json.dumps object per line."""
+    return "".join(json.dumps({"t1": r.t1, "d1": r.d1.value, "tau": r.tau,
+                               "d2": r.d2.value}) + "\n" for r in batch)
+
+
+def _interval(k, n):
+    return trajectories._fold_to_visibility(*trajectories._wilson(k, n))
+
+
+class TestRecordLayerProperties:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(batch=_batches())
+    def test_round_trip_and_format(self, batch):
+        buf = io.StringIO()
+        write_records(buf, batch)
+        assert buf.getvalue() == _json_lines(batch)
+        buf.seek(0)
+        back = read_records(buf)
+        assert back == batch
+        assert list(back) == list(batch)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_estimators_match_per_record_reference(self, data):
+        edges = sorted(data.draw(st.sets(st.floats(0.0, 20.0), min_size=2,
+                                         max_size=6)))
+        times = st.one_of(_TIME, st.sampled_from(edges))
+        batch = data.draw(_batches(times))
+        window = Window(
+            delta=data.draw(st.one_of(st.sampled_from(edges[1:]),
+                                      st.floats(1e-3, 30.0),
+                                      st.just(math.inf))),
+            t1_max=data.draw(st.one_of(st.none(), st.floats(1e-3, 30.0))))
+        records = list(batch)
+
+        kept = [r for r in records if r.tau <= window.delta and
+                (window.t1_max is None or r.t1 <= window.t1_max)]
+        k = sum(r.d1 == r.d2 for r in kept)
+        if not kept:
+            with pytest.raises(EmptySelectionError):
+                estimate_visibility(batch, window)
+        else:
+            est = estimate_visibility(batch, window)
+            assert (est.n_same, est.n_diff) == (k, len(kept) - k)
+            assert est.nu_hat == abs(2 * k - len(kept)) / len(kept)
+            assert (est.ci_low, est.ci_high) == _interval(k, len(kept))
+            assert est.efficiency == len(kept) / len(records)
+
+        nbins = len(edges) - 1
+        counts, same = [0] * nbins, [0] * nbins
+        for r in records:
+            for b in range(nbins):
+                last = b == nbins - 1
+                if edges[b] <= r.tau < edges[b + 1] or (last and
+                                                       r.tau == edges[-1]):
+                    counts[b] += 1
+                    same[b] += r.d1 == r.d2
+                    break
+        binned = binned_visibility(batch, edges)
+        assert binned.counts.tolist() == counts
+        assert binned.nu_hat == tuple(abs(2 * s - n) / n if n else None
+                                      for s, n in zip(same, counts))
+        assert list(zip(binned.ci_low, binned.ci_high)) == [
+            _interval(s, n) if n else (None, None)
+            for s, n in zip(same, counts)]
