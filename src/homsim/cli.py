@@ -169,33 +169,30 @@ def cmd_analyze(args) -> int:
             records = trajectories.read_records(fh)
     except OSError as exc:
         raise _IOFailure(str(exc)) from exc
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise _IOFailure(f"malformed record file: {exc!r}") from exc
 
     est = trajectories.estimate_visibility(records, window)
+    if args.bins:
+        kept = records.select(window.keep(records))
+        hi = args.delta if math.isfinite(args.delta) else float(kept.tau.max())
+        try:
+            binned = trajectories.binned_visibility(
+                kept, np.linspace(0.0, hi, args.bins + 1))
+        except ValueError as exc:
+            raise UsageError(f"--bins {args.bins} cannot split the range "
+                             f"[0, {hi!r}]") from exc
     print(f"records:     {len(records)}")
     print(f"retained:    {est.n_same + est.n_diff} "
           f"(same={est.n_same}, different={est.n_diff})")
     print(f"nu_hat:      {est.nu_hat:.6f}")
     print(f"95% CI:      [{est.ci_low:.6f}, {est.ci_high:.6f}]")
     print(f"efficiency:  {est.efficiency:.6f}")
-
     if args.bins:
-        hi = args.delta if math.isfinite(args.delta) else records.tau.max()
-        edges = np.linspace(0.0, hi, args.bins + 1)
-        if window.t1_max is not None:
-            records = records.select(records.t1 <= window.t1_max)
-        binned = trajectories.binned_visibility(records, edges)
-        rows = []
-        for i, mid in enumerate(binned.midpoints):
-            if binned.counts[i] == 0:
-                rows.append((float(mid), 0, "", "", ""))
-            else:
-                rows.append((float(mid), int(binned.counts[i]),
-                             binned.nu_hat[i], binned.ci_low[i],
-                             binned.ci_high[i]))
         _write_csv(args.bins_out, ["tau_mid", "n", "nu_hat", "ci_low",
-                                   "ci_high"], rows)
+                                   "ci_high"],
+                   zip(binned.midpoints, binned.counts.tolist(),
+                       binned.nu_hat, binned.ci_low, binned.ci_high))
     return EXIT_OK
 
 

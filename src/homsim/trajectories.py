@@ -69,6 +69,11 @@ class Window:
         if self.t1_max is not None and not 0 < self.t1_max < math.inf:
             raise ValueError(f"t1_max must be finite and > 0, got {self.t1_max}")
 
+    def keep(self, batch: "ClickBatch") -> np.ndarray:
+        """Mask of the records of ``batch`` that the window post-selects."""
+        t1_max = math.inf if self.t1_max is None else self.t1_max
+        return (batch.tau <= self.delta) & (batch.t1 <= t1_max)
+
 
 @dataclass(frozen=True)
 class VisibilityEstimate:
@@ -94,7 +99,7 @@ class ClickBatch:
     d2: np.ndarray
 
     def __post_init__(self):
-        for col, dtype in zip(_COLUMNS, (float, np.int8, float, np.int8)):
+        for col, (dtype, _) in _RECORD.fields.items():
             object.__setattr__(self, col, np.asarray(getattr(self, col), dtype))
         if not all(np.all((x >= 0) & (x < math.inf)) for x in (self.t1, self.tau)):
             raise ValueError("t1 and tau must be finite and >= 0")
@@ -125,7 +130,9 @@ class ClickBatch:
             for col in _COLUMNS)
 
 
-_COLUMNS = ("t1", "d1", "tau", "d2")
+# one record's layout; its field names are the columns of a ClickBatch
+_RECORD = np.dtype([("t1", "<f8"), ("d1", "i1"), ("tau", "<f8"), ("d2", "i1")])
+_COLUMNS = _RECORD.names
 _DETECTORS = (Detector.PLUS, Detector.MINUS)
 _SIGNS = tuple(d.value for d in _DETECTORS)
 
@@ -186,9 +193,7 @@ def estimate_visibility(records, window: Window) -> VisibilityEstimate:
     different outcome from an estimate of zero.
     """
     batch = ClickBatch.of(records)
-    keep = batch.tau <= window.delta
-    if window.t1_max is not None:
-        keep &= batch.t1 <= window.t1_max
+    keep = window.keep(batch)
     kept = int(np.count_nonzero(keep))
     n_same = int(np.count_nonzero(keep & (batch.d1 == batch.d2)))
     if kept == 0:
@@ -248,14 +253,12 @@ def write_records(fh, records) -> None:
 
 
 def read_records(fh) -> ClickBatch:
-    """Parse JSONL records; a bad line raises ValueError, KeyError or TypeError."""
-    t1, d1, tau, d2 = [], [], [], []
-    for obj in (json.loads(line) for line in fh if line.strip()):
-        t1.append(float(obj["t1"]))
-        d1.append(_SIGNS.index(obj["d1"]))
-        tau.append(float(obj["tau"]))
-        d2.append(_SIGNS.index(obj["d2"]))
-    return ClickBatch(t1, d1, tau, d2)
+    """Parse JSONL records in one pass; a bad line raises ValueError, KeyError,
+    TypeError, or OverflowError for a number too large for a float."""
+    objs = (json.loads(line) for line in fh if line.strip())
+    rows = np.fromiter(((float(o["t1"]), _SIGNS.index(o["d1"]), float(o["tau"]),
+                         _SIGNS.index(o["d2"])) for o in objs), _RECORD)
+    return ClickBatch(*(rows[col] for col in _COLUMNS))
 
 
 def ks_statistic_tau(records, g: float) -> tuple[float, float]:

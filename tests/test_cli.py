@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import io
+import json
 import math
 import os
 import tempfile
@@ -173,7 +174,6 @@ class TestSimulateAnalyze:
         out = tmp_path / "r.jsonl"
         assert cli.main(["simulate", "--A", "0", "--n", "300", "--seed", "1",
                          "--out", str(out)]) == cli.EXIT_OK
-        import json
         for line in out.read_text().splitlines():
             obj = json.loads(line)
             assert obj["d1"] == obj["d2"]
@@ -218,12 +218,51 @@ class TestSimulateAnalyze:
         _, rows = read_csv(bins)
         assert sum(int(r[1]) for r in rows) == 1000
 
+    def test_analyze_infinite_window_bins_span_retained(self, tmp_path,
+                                                        capsys):
+        # with --t1-max, the bins end at the largest tau that was kept
+        rec = tmp_path / "r.jsonl"
+        bins = tmp_path / "bins.csv"
+        cli.main(["simulate", "--bath", "markovian", "--n", "2000",
+                  "--seed", "5", "--out", str(rec)])
+        capsys.readouterr()
+        assert cli.main(["analyze", "--records", str(rec), "--delta", "inf",
+                         "--t1-max", "20", "--bins", "7", "--bins-out",
+                         str(bins)]) == cli.EXIT_OK
+        out = capsys.readouterr().out
+        retained = int(out.split("retained:")[1].split()[0])
+        records = map(json.loads, rec.read_text().splitlines())
+        taus = [obj["tau"] for obj in records if obj["t1"] <= 20]
+        assert retained == len(taus)
+        _, rows = read_csv(bins)
+        # edges are linspace(0, hi, 7 + 1), so the outer midpoints add to hi
+        assert float(rows[0][0]) + float(rows[-1][0]) == pytest.approx(
+            max(taus), rel=1e-12)
+        assert sum(int(r[1]) for r in rows) == retained
+
+    @pytest.mark.parametrize("delta", ["inf", "5e-324"])
+    def test_analyze_unsplittable_bin_range(self, tmp_path, capsys, delta):
+        # every retained tau is 0, or the window itself is one subnormal wide
+        rec = tmp_path / "r.jsonl"
+        rec.write_text('{"t1": 0.1, "d1": "+", "tau": 0.0, "d2": "+"}\n')
+        assert cli.main(["analyze", "--records", str(rec), "--delta", delta,
+                         "--bins", "3", "--bins-out",
+                         str(tmp_path / "bins.csv")]) == cli.EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "cannot split" in err and "Traceback" not in err
+        assert not (tmp_path / "bins.csv").exists()
+
     @pytest.mark.parametrize("line", [
         "not json", '{"t1": 0.1, "d1": "+", "tau": 1.0}',
         '{"t1": 0.1, "d1": "x", "tau": 1.0, "d2": "+"}', "[1, 2]",
         '{"t1": -1.0, "d1": "+", "tau": 1.0, "d2": "+"}',
         '{"t1": 0.1, "d1": "+", "tau": NaN, "d2": "+"}',
-        '{"t1": Infinity, "d1": "+", "tau": 1.0, "d2": "+"}'])
+        '{"t1": Infinity, "d1": "+", "tau": 1.0, "d2": "+"}',
+        '{"t1": 1%s, "d1": "+", "tau": 1.0, "d2": "+"}' % ("0" * 400),
+        '{"t1": null, "d1": "+", "tau": 1.0, "d2": "+"}',
+        '{"t1": [0.1], "d1": "+", "tau": 1.0, "d2": "+"}',
+        '{"t1": {}, "d1": "+", "tau": 1.0, "d2": "+"}'])
     def test_analyze_malformed_file(self, tmp_path, capsys, line):
         rec = tmp_path / "r.jsonl"
         rec.write_text(line + "\n")

@@ -282,6 +282,7 @@ class TestRecordLayerProperties:
         kept = [r for r in records if r.tau <= window.delta and
                 (window.t1_max is None or r.t1 <= window.t1_max)]
         k = sum(r.d1 == r.d2 for r in kept)
+        assert list(batch.select(window.keep(batch))) == kept
         if not kept:
             with pytest.raises(EmptySelectionError):
                 estimate_visibility(batch, window)
