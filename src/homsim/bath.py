@@ -82,7 +82,7 @@ _ROW_M = np.r_[np.arange(_M_DIRECT), np.full(6, _M_DIRECT)]
 _ROW_WEIGHT = np.r_[1.0, np.full(_M_DIRECT - 1, 2.0), 1.0,
                     1 / 6, -1 / 360, 1 / 15120, -1 / 604800, 1 / 23950080]
 # tau values per evaluation block, which bounds the kernel's memory
-_BLOCK = 4096
+_BLOCK = 512
 
 
 class QuadratureError(RuntimeError):
@@ -155,8 +155,7 @@ def spectral_density(bath: BathSpec, omega):
     omega = np.asarray(omega, dtype=float)
     if np.any(omega < 0):
         raise ValueError("omega must be >= 0")
-    out = bath.A * omega ** bath.n * np.exp(-omega)
-    return float(out) if out.ndim == 0 else out
+    return _scalar_or_array(bath.A * omega ** bath.n * np.exp(-omega))
 
 
 def _coth(x):

@@ -77,8 +77,8 @@ class ConditionalState:
     parity: int = 1
 
     def __post_init__(self):
-        if not 0 < self.weight <= 1 or not 0 < self.coherence_mag <= 1:
-            raise ValueError("weight and coherence_mag must lie in (0, 1]")
+        if not 0 <= self.weight <= 1 or not 0 <= self.coherence_mag <= 1:
+            raise ValueError("weight and coherence_mag must lie in [0, 1]")
         if self.parity not in (1, -1):
             raise ValueError("parity must be +1 or -1")
 

@@ -18,7 +18,7 @@ import math
 import numpy as np
 from scipy import special
 
-from .bath import BathFamily, BathSpec
+from .bath import BathFamily, BathSpec, _scalar_or_array
 from .dynamics import SourceConfig, coherence_factor
 
 __all__ = [
@@ -39,14 +39,10 @@ _LADDER_LO = -50  # the first panel is [0, 2^-50]
 _WEIGHT_TAIL = 60.0
 
 
-def _scalar_or_array(out):
-    return float(out) if out.ndim == 0 else out
-
-
-def _window_integrals(src: SourceConfig, deltas: np.ndarray, g=None):
+def _window_integrals(src: SourceConfig, deltas: np.ndarray, weight):
     """int_0^Delta w(tau) nu(tau) dtau for each finite Delta >= 0.
 
-    w = 1, or g e^{-g tau} when a rate g is given.
+    ``weight`` is the vectorized w(tau).
     """
     flat = deltas.ravel()
     j = np.maximum(np.frexp(flat)[1] - 1, _LADDER_LO - 1)  # floor(log2 Delta)
@@ -56,9 +52,7 @@ def _window_integrals(src: SourceConfig, deltas: np.ndarray, g=None):
     lo = np.r_[edges[:-1], starts]
     width = np.r_[np.diff(edges), flat - starts]
     taus = lo[:, None] + width[:, None] * _GL_NODES
-    f = np.abs(coherence_factor(src, 0.0, taus))
-    if g is not None:
-        f *= g * np.exp(-g * taus)
+    f = visibility_nonidentical(src, 0.0, taus) * weight(taus)
     panels = width * (f * _GL_WEIGHTS).sum(axis=1)
     n = edges.size - 1  # full ladder panels, then one partial per Delta
     ladder = np.r_[0.0, np.cumsum(panels[:n])]
@@ -74,20 +68,20 @@ def visibility(src: SourceConfig, tau):
     if not src.identical:
         raise ValueError("visibility() is for identical sources; "
                          "use visibility_nonidentical()")
-    tau = np.asarray(tau, dtype=float)
-    if not (tau >= 0).all():
-        raise ValueError("tau must be >= 0")
-    return _scalar_or_array(np.abs(coherence_factor(src, 0.0, tau)))
+    return visibility_nonidentical(src, 0.0, tau)
 
 
-def visibility_nonidentical(src: SourceConfig, t1: float, tau: float) -> float:
+def visibility_nonidentical(src: SourceConfig, t1, tau):
     """nu = exp(-(Gamma_1 + Gamma_2)) |cos phi(t1, t1 + tau)|.
 
-    Reduces bit-for-bit to visibility() when the baths are identical.
+    Vectorizes over t1 and tau.  Reduces bit-for-bit to visibility() when
+    the baths are identical.
     """
-    if t1 < 0 or tau < 0:
+    t1 = np.asarray(t1, dtype=float)
+    tau = np.asarray(tau, dtype=float)
+    if not ((t1 >= 0).all() and (tau >= 0).all()):
         raise ValueError("t1 and tau must be >= 0")
-    return abs(float(coherence_factor(src, t1, tau)))
+    return _scalar_or_array(np.abs(coherence_factor(src, t1, tau)))
 
 
 def windowed_visibility(src: SourceConfig, delta):
@@ -105,7 +99,7 @@ def windowed_visibility(src: SourceConfig, delta):
     if not ((0 < delta) & (delta < math.inf)).all():
         raise ValueError(f"window width must be finite and > 0, got {delta}")
     return _scalar_or_array(
-        np.minimum(_window_integrals(src, delta) / delta, 1.0))
+        np.minimum(_window_integrals(src, delta, np.ones_like) / delta, 1.0))
 
 
 def postselected_visibility(src: SourceConfig, delta):
@@ -130,7 +124,8 @@ def postselected_visibility(src: SourceConfig, delta):
     delta = np.minimum(delta, _WEIGHT_TAIL / g)
     mass = -np.expm1(-g * delta)
     return _scalar_or_array(
-        np.minimum(_window_integrals(src, delta, g) / mass, 1.0))
+        np.minimum(_window_integrals(src, delta, lambda t: g * np.exp(-g * t))
+                   / mass, 1.0))
 
 
 def windowed_visibility_markovian(bath: BathSpec, delta: float) -> float:
@@ -143,10 +138,7 @@ def windowed_visibility_markovian(bath: BathSpec, delta: float) -> float:
     if not delta > 0:
         raise ValueError(f"window width must be > 0, got {delta}")
     x = 2.0 * bath.A * math.pi * delta / bath.theta
-    if x < 1e-6:
-        # series of (1 - e^-x)/x, avoids 0/0 as the window closes
-        return 1.0 - x / 2.0 + x * x / 6.0
-    return -math.expm1(-x) / x
+    return -math.expm1(-x) / x if x > 0 else 1.0
 
 
 def windowed_visibility_ohmic_lowT(bath: BathSpec, delta: float) -> float:

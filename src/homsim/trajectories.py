@@ -52,8 +52,8 @@ class ClickRecord:
     d2: Detector
 
     def __post_init__(self):
-        if self.t1 < 0 or self.tau < 0:
-            raise ValueError("t1 and tau must be >= 0")
+        if not (0 <= self.t1 < math.inf and 0 <= self.tau < math.inf):
+            raise ValueError("t1 and tau must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -252,12 +252,20 @@ def write_records(fh, records) -> None:
                          f'"d2": "{_SIGNS[d]}"}}\n' for a, b, c, d in zip(*cols)))
 
 
+def _json_number(x) -> float:
+    # float() would also take a numeric string or a bool
+    if type(x) is float or type(x) is int:
+        return float(x)
+    raise TypeError(f"a record time must be a JSON number, got {x!r}")
+
+
 def read_records(fh) -> ClickBatch:
     """Parse JSONL records in one pass; a bad line raises ValueError, KeyError,
     TypeError, or OverflowError for a number too large for a float."""
     objs = (json.loads(line) for line in fh if line.strip())
-    rows = np.fromiter(((float(o["t1"]), _SIGNS.index(o["d1"]), float(o["tau"]),
-                         _SIGNS.index(o["d2"])) for o in objs), _RECORD)
+    rows = np.fromiter(((_json_number(o["t1"]), _SIGNS.index(o["d1"]),
+                         _json_number(o["tau"]), _SIGNS.index(o["d2"]))
+                        for o in objs), _RECORD)
     return ClickBatch(*(rows[col] for col in _COLUMNS))
 
 

@@ -262,7 +262,11 @@ class TestSimulateAnalyze:
         '{"t1": 1%s, "d1": "+", "tau": 1.0, "d2": "+"}' % ("0" * 400),
         '{"t1": null, "d1": "+", "tau": 1.0, "d2": "+"}',
         '{"t1": [0.1], "d1": "+", "tau": 1.0, "d2": "+"}',
-        '{"t1": {}, "d1": "+", "tau": 1.0, "d2": "+"}'])
+        '{"t1": {}, "d1": "+", "tau": 1.0, "d2": "+"}',
+        '{"t1": "0.1", "d1": "+", "tau": 1.0, "d2": "+"}',
+        '{"t1": true, "d1": "+", "tau": 1.0, "d2": "+"}',
+        '{"t1": 0.1, "d1": "+", "tau": "1.0", "d2": "+"}',
+        '{"t1": 0.1, "d1": "+", "tau": false, "d2": "+"}'])
     def test_analyze_malformed_file(self, tmp_path, capsys, line):
         rec = tmp_path / "r.jsonl"
         rec.write_text(line + "\n")

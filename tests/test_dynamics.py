@@ -7,8 +7,8 @@ import pytest
 from scipy import integrate
 
 from homsim.bath import BathFamily, BathSpec, gamma_value, phi_phase
-from homsim.dynamics import (Detector, SourceConfig, coherence,
-                             conditional_state, first_click_density,
+from homsim.dynamics import (ConditionalState, Detector, SourceConfig,
+                             coherence, conditional_state, first_click_density,
                              second_click_density, survival_probability)
 
 OHMIC = BathSpec(BathFamily.OHMIC, 0.5, 10.0)
@@ -112,6 +112,31 @@ class TestConditionalState:
         assert minus.parity == -1
         assert (minus.weight, minus.coherence_mag, minus.phase) == \
             (plus.weight, plus.coherence_mag, plus.phase)
+
+    def test_fully_dephased_state(self):
+        # e^{-2 Gamma} = e^{-200 pi} underflows to 0, where the density exists
+        src = SourceConfig.identical_sources(
+            0.01, BathSpec(BathFamily.MARKOVIAN, 2.0, 0.1))
+        state = conditional_state(src, 0.0, 10.0)
+        assert state.coherence_mag == 0.0
+        assert state.weight == math.exp(-0.1)
+        assert second_click_density(src, 0.0, 10.0, True) == \
+            0.5 * 0.01 * math.exp(-0.1)
+
+    def test_fully_decayed_state(self):
+        # g tau = 1000 > 745, so e^{-g tau} underflows to 0
+        src = SourceConfig.identical_sources(
+            0.01, BathSpec(BathFamily.OHMIC, 0.0, 10.0))
+        state = conditional_state(src, 0.0, 1e5)
+        assert state.weight == 0.0
+        assert state.coherence_mag == 1.0
+
+    @pytest.mark.parametrize("weight, mag", [
+        (math.nan, 0.5), (0.5, math.nan), (-0.1, 0.5), (0.5, 1.1)])
+    def test_rejects_out_of_range(self, weight, mag):
+        with pytest.raises(ValueError):
+            ConditionalState(tau=1.0, weight=weight, coherence_mag=mag,
+                             phase=0.0)
 
 
 class TestSecondClick:

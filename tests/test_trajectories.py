@@ -254,6 +254,15 @@ def _interval(k, n):
 
 
 class TestRecordLayerProperties:
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["t1", "tau"])
+    def test_record_and_batch_reject_bad_times(self, field, bad):
+        times = {"t1": 0.5, "tau": 0.5, field: bad}
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            ClickRecord(d1=Detector.PLUS, d2=Detector.PLUS, **times)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            ClickBatch([times["t1"]], [0], [times["tau"]], [0])
+
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(batch=_batches())
     def test_round_trip_and_format(self, batch):
