@@ -12,9 +12,10 @@ and the dephasing phase accumulated between detection times t1 <= t2 is
     Lambda(t1, t2) = int_0^inf (J(w)/w^2)
                      (w tau + 2 sin(w t1) - 2 sin(w t2) + sin(w tau)) dw,
 
-with tau = t2 - t1.  Both are evaluated here by adaptive quadrature, which is
-the test oracle, and by one exact vectorized kernel each, which everything
-else uses:
+with tau = t2 - t1.  Every time (omega, tau, t1, t2) must be finite and >= 0,
+and t1 <= t2 for Lambda and phi, else ValueError.  Both are evaluated here by
+adaptive quadrature, which is the test oracle, and by one exact vectorized
+kernel each, which everything else uses:
 
 - Gamma, n > 1: expanding coth(theta w / 2) = 1 + 2 sum_m e^{-m theta w}
   gives, with s = n - 1 and a_m = 1 + m theta,
@@ -148,13 +149,33 @@ class DecoherenceValue:
             raise ValueError(f"Gamma must be >= 0, got {self.gamma_big}")
 
 
+def _times(*ts):
+    """Times as float arrays, a single one as a (faster) numpy scalar;
+    ValueError unless every value is finite and >= 0, the one time rule.
+    """
+    ts = [np.asarray(t, dtype=float)[()] for t in ts]
+    if not all(((t >= 0) & (t < math.inf)).all() for t in ts):
+        raise ValueError("times must be finite and >= 0")
+    return ts[0] if len(ts) == 1 else ts
+
+
+def _ordered(t1, t2):
+    """_times(t1, t2), which Lambda and phi also need in order t1 <= t2."""
+    t1, t2 = _times(t1, t2)
+    if not (t1 <= t2).all():
+        raise ValueError("need t1 <= t2")
+    return t1, t2
+
+
+def _scalar_or_array(out):
+    return float(out) if out.ndim == 0 else out
+
+
 def spectral_density(bath: BathSpec, omega):
     """J(omega) = A omega^n e^{-omega} (omega_c = 1 units)."""
     if bath.family is BathFamily.MARKOVIAN:
         raise ValueError("Markovian bath is a rate law; it has no spectral density")
-    omega = np.asarray(omega, dtype=float)
-    if np.any(omega < 0):
-        raise ValueError("omega must be >= 0")
+    omega = _times(omega)
     return _scalar_or_array(bath.A * omega ** bath.n * np.exp(-omega))
 
 
@@ -181,8 +202,8 @@ def gamma_quadrature(bath: BathSpec, tau: float) -> DecoherenceValue:
     enough for its error estimate to miss the turnover.
     """
     _require_integrable(bath, "gamma_quadrature")
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
+    # a Python float keeps the integrand's scalar arithmetic fast
+    tau = float(_times(tau))
     if tau == 0 or bath.A == 0:
         return DecoherenceValue(0.0, GammaMethod.QUADRATURE, 0.0)
 
@@ -273,10 +294,7 @@ def gamma_closed_array(bath: BathSpec, taus) -> np.ndarray:
     log-gamma form and every other exponent n > 1 the thermal series; see
     the module docstring.
     """
-    # a single tau becomes a numpy scalar, whose arithmetic is much faster
-    taus = np.asarray(taus, dtype=float)[()]
-    if not (taus >= 0).all():
-        raise ValueError("tau must be >= 0")
+    taus = _times(taus)
     A, theta = bath.A, bath.theta
     if bath.family is BathFamily.MARKOVIAN:
         return A * np.pi * taus / theta
@@ -326,10 +344,7 @@ def lambda_phase(bath: BathSpec, t1: float, t2: float) -> float:
     S(t) the sine transform of J/w^2; each piece converges for n >= 1.
     """
     _require_integrable(bath, "lambda_phase")
-    if t1 < 0:
-        raise ValueError("t1 must be >= 0")
-    if t2 < t1:
-        raise ValueError("need t1 <= t2")
+    t1, t2 = map(float, _ordered(t1, t2))
     if t2 == t1 or bath.A == 0.0:
         return 0.0
     A, n = bath.A, bath.n
@@ -346,21 +361,9 @@ def lambda_phase(bath: BathSpec, t1: float, t2: float) -> float:
     return total
 
 
-def _times(t1, t2):
-    t1 = np.asarray(t1, dtype=float)
-    t2 = np.asarray(t2, dtype=float)
-    if not ((0 <= t1) & (t1 <= t2)).all():
-        raise ValueError("need 0 <= t1 <= t2")
-    return t1, t2
-
-
-def _scalar_or_array(out):
-    return float(out) if out.ndim == 0 else out
-
-
 def _lambda(bath: BathSpec, t1, t2):
     _require_integrable(bath, "lambda_phase_closed")
-    t1, t2 = _times(t1, t2)
+    t1, t2 = _ordered(t1, t2)
     s = bath.n - 1.0
     if s == 0.0:
         sine = np.arctan
@@ -390,6 +393,6 @@ def phi_phase(bath1: BathSpec, bath2: BathSpec, t1, t2):
     Identical bath specs short-circuit to exactly 0.
     """
     if bath1 == bath2:
-        t1, t2 = _times(t1, t2)
+        t1, t2 = _ordered(t1, t2)
         return _scalar_or_array(np.zeros(np.broadcast(t1, t2).shape))
     return _scalar_or_array(_lambda(bath2, t1, t2) - _lambda(bath1, t1, t2))

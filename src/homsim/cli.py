@@ -148,7 +148,7 @@ def cmd_simulate(args) -> int:
         records = trajectories.simulate_ensemble(args.seed, args.n, src,
                                                  workers=args.workers)
     except ValueError as exc:  # click times overflow when 1/g is huge
-        raise FloatingPointError(str(exc)) from exc
+        raise FloatingPointError(f"click times overflow: {exc}") from exc
     try:
         with open(args.out, "w") as fh:
             trajectories.write_records(fh, records)
@@ -275,7 +275,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # a NaN or inf result exits 3 below, so numpy's warnings are noise
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

@@ -5,7 +5,7 @@ Both emitters start in their excited state, decay at the same rate g
 splitter by two detectors.  Pure dephasing leaves the populations untouched,
 so the click times are exponential; dephasing only enters the detector
 correlations through the coherence factor exp(-(Gamma_1 + Gamma_2)) and the
-relative phase phi.
+relative phase phi.  Every time must be finite and >= 0 (else ValueError).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import BathSpec, gamma_closed_array, phi_phase
+from .bath import BathSpec, _times, gamma_closed_array, phi_phase
 
 __all__ = [
     "ConditionalState",
@@ -88,9 +88,7 @@ def survival_probability(src: SourceConfig, t: float) -> float:
 
     Independent of the dephasing baths, which conserve populations.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    return math.exp(-2.0 * src.g * t)
+    return math.exp(-2.0 * src.g * _times(t))
 
 
 def first_click_density(src: SourceConfig, t: float) -> tuple[float, float]:
@@ -99,9 +97,7 @@ def first_click_density(src: SourceConfig, t: float) -> tuple[float, float]:
     From |ee> both jump operators carry equal rate, so the split is exactly
     1/2 regardless of bath or time; the total density is 2 g exp(-2 g t).
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    return 2.0 * src.g * math.exp(-2.0 * src.g * t), 0.5
+    return 2.0 * src.g * math.exp(-2.0 * src.g * _times(t)), 0.5
 
 
 def coherence(src: SourceConfig, t1, tau):
@@ -109,7 +105,7 @@ def coherence(src: SourceConfig, t1, tau):
 
     Vectorizes over t1 and tau.  Identical sources have phi = 0.
     """
-    tau = np.asarray(tau, dtype=float)
+    t1, tau = _times(t1, tau)
     g1 = gamma_closed_array(src.bath1, tau)
     if src.identical:
         return np.exp(-2.0 * g1), np.zeros_like(g1)
@@ -130,8 +126,6 @@ def coherence_factor(src: SourceConfig, t1, tau):
 def conditional_state(src: SourceConfig, t1: float, tau: float,
                       first_detector: Detector = Detector.PLUS) -> ConditionalState:
     """State of the remaining excitation a time tau after the first click."""
-    if t1 < 0 or tau < 0:
-        raise ValueError("t1 and tau must be >= 0")
     mag, phi = coherence(src, t1, tau)
     parity = 1 if Detector(first_detector) is Detector.PLUS else -1
     return ConditionalState(
@@ -153,8 +147,6 @@ def second_click_density(src: SourceConfig, t1: float, tau: float,
     The two branches sum to g e^{-g tau} exactly, and the result does not
     depend on which detector fired first.
     """
-    if t1 < 0 or tau < 0:
-        raise ValueError("t1 and tau must be >= 0")
     kappa = float(coherence_factor(src, t1, tau))
     sign = 1.0 if same_detector else -1.0
     return 0.5 * src.g * math.exp(-src.g * tau) * (1.0 + sign * kappa)

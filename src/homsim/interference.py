@@ -77,10 +77,6 @@ def visibility_nonidentical(src: SourceConfig, t1, tau):
     Vectorizes over t1 and tau.  Reduces bit-for-bit to visibility() when
     the baths are identical.
     """
-    t1 = np.asarray(t1, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    if not ((t1 >= 0).all() and (tau >= 0).all()):
-        raise ValueError("t1 and tau must be >= 0")
     return _scalar_or_array(np.abs(coherence_factor(src, t1, tau)))
 
 
@@ -147,7 +143,10 @@ def windowed_visibility_ohmic_lowT(bath: BathSpec, delta: float) -> float:
     Equal to the window average (1/Delta) int_0^Delta (1 + v^2)^{-2A} dv,
     which is the real form of the incomplete-Beta expression
     B_{-Delta^2}(1/2, 1 - 2A) / (2 i Delta); evaluated through 2F1, with the
-    A = 1/2 case on its own arctan branch.
+    A = 1/2 case on its own arctan branch.  Under this package's
+    (A/2) ln(1 + tau^2) vacuum term the zero-temperature nu(tau) is
+    (1 + tau^2)^{-A}, so this equals the zero-temperature nu'(Delta) of
+    windowed_visibility() at coupling 2A, not A.
     """
     if bath.family is not BathFamily.OHMIC:
         raise ValueError("windowed_visibility_ohmic_lowT needs an ohmic bath")

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bath import _times
 from .dynamics import Detector, SourceConfig, coherence_factor
 
 __all__ = [
@@ -52,6 +53,7 @@ class ClickRecord:
     d2: Detector
 
     def __post_init__(self):
+        # the rule of bath._times in plain Python: a numpy call per record is slow
         if not (0 <= self.t1 < math.inf and 0 <= self.tau < math.inf):
             raise ValueError("t1 and tau must be finite and >= 0")
 
@@ -101,8 +103,7 @@ class ClickBatch:
     def __post_init__(self):
         for col, (dtype, _) in _RECORD.fields.items():
             object.__setattr__(self, col, np.asarray(getattr(self, col), dtype))
-        if not all(np.all((x >= 0) & (x < math.inf)) for x in (self.t1, self.tau)):
-            raise ValueError("t1 and tau must be finite and >= 0")
+        _times(self.t1, self.tau)
 
     @classmethod
     def of(cls, records) -> "ClickBatch":

@@ -11,6 +11,10 @@ from homsim.bath import (BathFamily, BathSpec, GammaMethod, gamma_closed,
                          gamma_closed_array, gamma_quadrature, gamma_value,
                          lambda_phase, lambda_phase_closed, phi_phase,
                          spectral_density)
+from homsim.dynamics import (SourceConfig, coherence, coherence_factor,
+                             conditional_state, first_click_density,
+                             second_click_density, survival_probability)
+from homsim.interference import visibility, visibility_nonidentical
 
 OHMIC = BathSpec(BathFamily.OHMIC, 0.5, 10.0)
 SUPER = BathSpec(BathFamily.SUPEROHMIC, 0.5, 10.0)
@@ -302,3 +306,57 @@ class TestPhiPhase:
         forward = phi_phase(weak, OHMIC, 1.0, 2.0)
         assert phi_phase(OHMIC, weak, 1.0, 2.0) == pytest.approx(-forward,
                                                                  rel=1e-12)
+
+
+_SRC = SourceConfig.identical_sources(0.01, OHMIC)
+_SRC_M = SourceConfig.identical_sources(0.01, MARKOV)
+_PAIR = SourceConfig(0.01, OHMIC, SUPER, identical=False)
+# every public function that takes a time, with a valid time for each slot;
+# the Lambda and phi functions also need their slots in order t1 <= t2
+_ORDERED = [
+    ("lambda_phase", lambda a, b: lambda_phase(OHMIC, a, b)),
+    ("lambda_phase_closed", lambda a, b: lambda_phase_closed(SUPER, a, b)),
+    ("phi_phase", lambda a, b: phi_phase(OHMIC, SUPER, a, b)),
+    ("phi_phase_identical", lambda a, b: phi_phase(OHMIC, OHMIC, a, b)),
+]
+_TIMED = [(name, fn, (1.0, 2.0)) for name, fn in _ORDERED] + [
+    ("spectral_density", lambda w: spectral_density(OHMIC, w), (1.0,)),
+    ("gamma_quadrature", lambda t: gamma_quadrature(OHMIC, t), (1.0,)),
+    ("gamma_closed_array", lambda t: gamma_closed_array(SUPER, t), (1.0,)),
+    ("gamma_closed", lambda t: gamma_closed(MARKOV, t), (1.0,)),
+    ("gamma_value", lambda t: gamma_value(OHMIC, t), (1.0,)),
+    ("survival_probability", lambda t: survival_probability(_SRC, t), (1.0,)),
+    ("first_click_density", lambda t: first_click_density(_SRC, t), (1.0,)),
+    ("coherence", lambda a, b: coherence(_PAIR, a, b), (1.0, 2.0)),
+    ("coherence_factor", lambda a, b: coherence_factor(_SRC, a, b), (1.0, 2.0)),
+    ("conditional_state", lambda a, b: conditional_state(_SRC, a, b),
+     (1.0, 2.0)),
+    ("second_click_density",
+     lambda a, b: second_click_density(_SRC, a, b, True), (1.0, 2.0)),
+    ("visibility", lambda t: visibility(_SRC_M, t), (1.0,)),
+    ("visibility_nonidentical",
+     lambda a, b: visibility_nonidentical(_PAIR, a, b), (1.0, 2.0)),
+]
+
+
+class TestTimeRule:
+    """One rule for every time: finite and >= 0, and t1 <= t2 for Lambda/phi."""
+
+    @pytest.mark.parametrize("fn, times", [
+        pytest.param(fn, times[:slot] + (bad,) + times[slot + 1:],
+                     id=f"{name}-arg{slot}-{bad}")
+        for name, fn, times in _TIMED for slot in range(len(times))
+        for bad in (-1.0, math.nan, math.inf, -math.inf)])
+    def test_bad_time_rejected(self, fn, times):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            fn(*times)
+
+    @pytest.mark.parametrize("fn", [
+        pytest.param(fn, id=name) for name, fn in _ORDERED])
+    def test_reversed_times_rejected(self, fn):
+        with pytest.raises(ValueError, match="t1 <= t2"):
+            fn(2.0, 1.0)
+
+    def test_one_bad_entry_rejects_an_array(self):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            gamma_closed_array(SUPER, np.array([0.0, 1.0, math.nan]))

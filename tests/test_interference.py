@@ -233,6 +233,16 @@ class TestWindowedOhmicLowT:
         assert windowed_visibility_ohmic_lowT(bath, delta) == \
             pytest.approx(avg / delta, abs=1e-10)
 
+    @pytest.mark.parametrize("A", [0.25, 0.5])
+    @pytest.mark.parametrize("delta", [0.1, 0.5, 1.0, 5.0])
+    def test_is_zero_temperature_window_at_double_coupling(self, A, delta):
+        # nu(tau) = (1 + tau^2)^{-A} at theta -> inf, so (1 + v^2)^{-2A}
+        # is the window average of a bath with coupling 2A
+        cold = src_of(BathSpec(BathFamily.OHMIC, 2 * A, 1e8))
+        assert windowed_visibility_ohmic_lowT(BathSpec(BathFamily.OHMIC, A,
+                                                       10.0), delta) == \
+            pytest.approx(windowed_visibility(cold, delta), abs=1e-14)
+
     def test_incomplete_beta_series_identity(self):
         # B_z(1/2, 1-2A)/(2 i Delta) with z = -Delta^2 expands to
         # (1/2) sum_k (2A)_k / (k! (1/2 + k)) (-Delta^2)^k; check once
