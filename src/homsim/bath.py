@@ -145,7 +145,7 @@ class DecoherenceValue:
     est_abs_error: float = 0.0
 
     def __post_init__(self):
-        if self.gamma_big < 0:
+        if not self.gamma_big >= 0:
             raise ValueError(f"Gamma must be >= 0, got {self.gamma_big}")
 
 
@@ -297,14 +297,18 @@ def gamma_closed_array(bath: BathSpec, taus) -> np.ndarray:
     taus = _times(taus)
     A, theta = bath.A, bath.theta
     if bath.family is BathFamily.MARKOVIAN:
-        return A * np.pi * taus / theta
-    _require_integrable(bath, "gamma_closed")
-    if A == 0.0:
-        return np.zeros_like(taus)
-    if bath.n == 1.0:
-        out = _ohmic_gamma(A, theta, taus)
+        out = A * np.pi * taus / theta
     else:
-        out = _series_gamma(A, bath.n, theta, taus)
+        _require_integrable(bath, "gamma_closed")
+        if A == 0.0:
+            return np.zeros_like(taus)
+        if bath.n == 1.0:
+            out = _ohmic_gamma(A, theta, taus)
+        else:
+            out = _series_gamma(A, bath.n, theta, taus)
+    # extreme but finite A or theta can overflow a kernel to inf or NaN
+    if not np.isfinite(out).all():
+        raise FloatingPointError(f"Gamma overflows for {bath}")
     return np.maximum(out, 0.0)
 
 

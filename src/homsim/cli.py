@@ -174,7 +174,8 @@ def cmd_analyze(args) -> int:
 
     est = trajectories.estimate_visibility(records, window)
     if args.bins:
-        kept = records.select(window.keep(records))
+        keep = window.keep(records)
+        kept = records if keep.all() else records.select(keep)
         hi = args.delta if math.isfinite(args.delta) else float(kept.tau.max())
         try:
             binned = trajectories.binned_visibility(

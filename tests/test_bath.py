@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homsim.bath import (BathFamily, BathSpec, GammaMethod, gamma_closed,
-                         gamma_closed_array, gamma_quadrature, gamma_value,
-                         lambda_phase, lambda_phase_closed, phi_phase,
-                         spectral_density)
+from homsim.bath import (BathFamily, BathSpec, DecoherenceValue, GammaMethod,
+                         gamma_closed, gamma_closed_array, gamma_quadrature,
+                         gamma_value, lambda_phase, lambda_phase_closed,
+                         phi_phase, spectral_density)
 from homsim.dynamics import (SourceConfig, coherence, coherence_factor,
                              conditional_state, first_click_density,
                              second_click_density, survival_probability)
@@ -189,6 +189,19 @@ class TestGammaClosed:
             scalars = [gamma_closed(bath, t).gamma_big for t in taus]
             np.testing.assert_allclose(vals, scalars, rtol=1e-13, atol=1e-300)
 
+    @pytest.mark.parametrize("bath, tau", [
+        (BathSpec(BathFamily.MARKOVIAN, 1e308, 1e-300), 0.0),
+        (BathSpec(BathFamily.SUPEROHMIC, 0.5, 1e300), 1.0)],
+        ids=["markov", "superohmic"])
+    def test_overflow_raises(self, bath, tau):
+        # inf * 0 in the rate law; theta ** k overflows in the series weights
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(FloatingPointError, match="overflows"):
+            gamma_value(bath, tau)
+
+    def test_nan_value_rejected(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            DecoherenceValue(math.nan, GammaMethod.CLOSED_FORM)
 
     def test_array_shape_and_empty(self):
         assert gamma_closed_array(SUPER, np.zeros((2, 3))).shape == (2, 3)

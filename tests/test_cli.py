@@ -298,6 +298,14 @@ class TestSimulateAnalyze:
                          "1", "--out", str(out)]) == cli.EXIT_NUMERIC
         assert not out.exists()
 
+    def test_simulate_overflowing_gamma(self, tmp_path):
+        # Gamma is NaN here, so every record would come out "different"
+        out = tmp_path / "r.jsonl"
+        assert cli.main(["simulate", "--bath", "superohmic", "--A", "0.5",
+                         "--theta", "1e300", "--n", "2000", "--seed", "1",
+                         "--out", str(out)]) == cli.EXIT_NUMERIC
+        assert not out.exists()
+
 
 _ANY_FLOAT = st.one_of(st.floats(), st.floats(-1.0, 100.0), st.sampled_from(
     [math.nan, math.inf, -math.inf, -1.0, 0.0, 0.5, 2.5, 1e-300, 1e300]))

@@ -91,6 +91,15 @@ class TestVisibility:
             v = visibility(src_of(OHMIC), float(tau))
             assert 0.0 <= v <= 1.0
 
+    def test_overflowing_bath_raises(self):
+        # Gamma overflows to NaN, which would read as a visibility of NaN
+        src = src_of(BathSpec(BathFamily.SUPEROHMIC, 0.5, 1e300))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError):
+                visibility(src, 1.0)
+            with pytest.raises(FloatingPointError):
+                postselected_visibility(src, 1.0)
+
     def test_rejects_nonidentical(self):
         weak = BathSpec(BathFamily.OHMIC, 0.25, 10.0)
         src = SourceConfig(g=0.01, bath1=weak, bath2=OHMIC, identical=False)

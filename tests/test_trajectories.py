@@ -3,10 +3,12 @@
 import io
 import json
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from homsim import trajectories
@@ -228,6 +230,25 @@ class TestSerialization:
         assert set(obj) == {"t1", "d1", "tau", "d2"}
         assert obj["d1"] in "+-"
 
+    def test_read_memory_stays_flat(self, tmp_path):
+        # read from a file, as a StringIO's own buffer would join the trace;
+        # 1e6 records, as at fewer the fixed per-block buffers set the peak
+        buf = io.StringIO()
+        write_records(buf, simulate_ensemble(47, 1000, SRC_M))
+        path = tmp_path / "r.jsonl"
+        path.write_text(buf.getvalue() * 1000)
+        tracemalloc.start()
+        try:
+            with open(path) as fh:
+                back = read_records(fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the columns hold 18 bytes per record; one array grown in place
+        # peaks near 1.4x that, parts joined at the end near 2x
+        assert len(back) == 1_000_000
+        assert peak <= 1.75 * 18 * len(back)
+
 
 # finite non-negative floats, with 0, subnormals and the largest magnitudes
 _TIME = st.one_of(
@@ -319,3 +340,75 @@ class TestRecordLayerProperties:
         assert list(zip(binned.ci_low, binned.ci_high)) == [
             _interval(s, n) if n else (None, None)
             for s, n in zip(same, counts)]
+
+
+def _number(x) -> float:
+    if type(x) not in (float, int):
+        raise TypeError(f"a record time must be a JSON number, got {x!r}")
+    return float(x)
+
+
+def _read_per_line(fh) -> ClickBatch:
+    """The reference reader: json.loads on each "\\n"-split line, fields
+    checked in file order."""
+    rows = []
+    for line in fh.read().split("\n"):
+        if line.strip():
+            obj = json.loads(line)
+            rows.append((_number(obj["t1"]), ("+", "-").index(obj["d1"]),
+                         _number(obj["tau"]), ("+", "-").index(obj["d2"])))
+    return ClickBatch(*zip(*rows)) if rows else ClickBatch([], [], [], [])
+
+
+_EDIT_TOKENS = [*'0123456789.eE+-,"{}: \n\r\t\u2028', "NaN", "Infinity",
+                "1" + "0" * 400]
+
+
+@st.composite
+def _edited_records(draw):
+    """write_records text with a few characters inserted, deleted or replaced."""
+    buf = io.StringIO()
+    write_records(buf, draw(_batches(max_size=6)))
+    text = buf.getvalue()
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        op = draw(st.sampled_from(["insert", "delete", "replace"]))
+        head, tail = text[:i], text[i + (op != "insert"):]
+        if op != "delete":
+            head += draw(st.sampled_from(_EDIT_TOKENS))
+        text = head + tail
+    return text
+
+
+def _outcome(read, text):
+    try:
+        return read(io.StringIO(text))
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        return type(exc)
+
+
+_LINE = '{"t1": 0.5, "d1": "+", "tau": 1.25, "d2": "-"}\n'
+
+
+class TestReaderAgainstPerLineReference:
+    # small blocks put lines on both sides of block edges, and mix blocks
+    # in write_records' layout with blocks read line by line
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(text=_edited_records(), block=st.sampled_from([8, 40, 100]))
+    @example(text=_LINE + "\n" + _LINE, block=8)
+    @example(text=_LINE + _LINE.rstrip("\n"), block=40)
+    @example(text='{"d1": "+", "t1": 0.5, "d2": "-", "tau": 1.25}\n' + _LINE,
+             block=8)
+    @example(text='{"t1": 0, "d1": "+", "tau": 3, "d2": "-"}\n' + _LINE,
+             block=100)
+    @example(text='{"t1": 1E-5, "d1": "-", "tau": 2e+3, "d2": "+"}\n', block=8)
+    @example(text=_LINE + '{"t1": 0.5, "d1": "+", "tau": 1.25, "d2": "-", '
+                          '"x": "a\u2028b"}\n' + _LINE, block=8)
+    # a too-large integer, then a bad number, in one block in the layout
+    @example(text='{"t1": 1%s, "d1": "+", "tau": 1.0, "d2": "+"}\n'
+                  '{"t1": 1e, "d1": "+", "tau": 1.0, "d2": "+"}\n' % ("0" * 400),
+             block=1000)
+    def test_equal_batch_or_same_error(self, text, block):
+        expected = _outcome(_read_per_line, text)
+        with mock.patch.object(trajectories, "_BLOCK", block):
+            assert _outcome(read_records, text) == expected
