@@ -51,23 +51,16 @@ def _bath_args(parser):
                         help="spectral exponent (powerlaw only)")
 
 
-def _bath(family, A, theta, n=None) -> BathSpec:
+def _bath(args, family=None) -> BathSpec:
+    """The bath of --bath, or of ``family`` at the same --A and --theta."""
     try:
-        bath = BathSpec(family=BathFamily(family), A=A, theta=theta, n=n)
+        bath = BathSpec(family=BathFamily(family or args.bath), A=args.A,
+                        theta=args.theta, n=None if family else args.exponent)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     if bath.n is not None and bath.n < 1:
         raise UsageError(f"Gamma diverges for --exponent {bath.n} < 1")
     return bath
-
-
-def _make_bath(args) -> BathSpec:
-    return _bath(args.bath, args.A, args.theta, args.exponent)
-
-
-def _curve_source(bath: BathSpec) -> SourceConfig:
-    # nu and nu' do not depend on the decay rate, so any g will do
-    return SourceConfig.identical_sources(DEFAULT_G, bath)
 
 
 def _tau_grid(args) -> np.ndarray:
@@ -89,21 +82,16 @@ def _write_csv(path, header, rows):
             for row in rows]
     if any(v in ("nan", "inf", "-inf") for row in rows for v in row):
         raise FloatingPointError(f"NaN or inf in the {', '.join(header)} table")
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-    except OSError as exc:
-        raise _IOFailure(str(exc)) from exc
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
 
 
 class _IOFailure(Exception):
-    pass
+    """A record file that cannot be parsed; an OSError exits the same way."""
 
 
 def cmd_gamma(args) -> int:
-    bath = _make_bath(args)
+    bath = _bath(args)
     if bath.family is BathFamily.MARKOVIAN:
         raise UsageError("gamma table needs a bath with a spectral density")
     taus = _tau_grid(args)
@@ -123,21 +111,23 @@ def cmd_curve(args) -> int:
     for the bath of --bath; the grid is tau for nu and Delta for nu'.
     """
     if args.figure:
-        baths = [_bath(f, args.A, args.theta) for f in _FIGURE_BATHS]
+        baths = [_bath(args, f) for f in _FIGURE_BATHS]
         names = [f"nu_{f}" for f in _FIGURE_BATHS]
     else:
-        baths, names = [_make_bath(args)], ["nu"]
+        baths, names = [_bath(args)], ["nu"]
     if args.windowed:
         grid, kernel, axis = _delta_grid(args), windowed_visibility, "delta"
     else:
         grid, kernel, axis = _tau_grid(args), visibility, "tau"
-    columns = [kernel(_curve_source(bath), grid) for bath in baths]
+    # nu and nu' do not depend on the decay rate, so any g will do
+    columns = [kernel(SourceConfig.identical_sources(DEFAULT_G, bath), grid)
+               for bath in baths]
     _write_csv(args.out, [axis, *names], zip(grid, *columns))
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    bath = _make_bath(args)
+    bath = _bath(args)
     try:
         src = SourceConfig.identical_sources(args.g, bath)
     except ValueError as exc:
@@ -149,11 +139,8 @@ def cmd_simulate(args) -> int:
                                                  workers=args.workers)
     except ValueError as exc:  # click times overflow when 1/g is huge
         raise FloatingPointError(f"click times overflow: {exc}") from exc
-    try:
-        with open(args.out, "w") as fh:
-            trajectories.write_records(fh, records)
-    except OSError as exc:
-        raise _IOFailure(str(exc)) from exc
+    with open(args.out, "w") as fh:
+        trajectories.write_records(fh, records)
     return EXIT_OK
 
 
@@ -167,8 +154,6 @@ def cmd_analyze(args) -> int:
     try:
         with open(args.records) as fh:
             records = trajectories.read_records(fh)
-    except OSError as exc:
-        raise _IOFailure(str(exc)) from exc
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise _IOFailure(f"malformed record file: {exc!r}") from exc
 
@@ -197,6 +182,21 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+# the commands that write one curve table: name, function, whether the
+# columns are the three reference baths (else the bath of --bath), the grid
+# (tau, or window widths Delta), the default --points, and the help
+_GRID_COMMANDS = (
+    ("gamma", cmd_gamma, False, "tau", 200,
+     "decoherence function table (closed form vs quadrature)"),
+    ("fig1", cmd_curve, True, "tau", 200,
+     "time-resolved visibility of the three reference baths"),
+    ("fig2", cmd_curve, True, "delta", 200,
+     "windowed visibility of the three reference baths"),
+    ("visibility", cmd_curve, False, "tau", 200, "time-resolved visibility curve"),
+    ("windowed", cmd_curve, False, "delta", 100, "windowed visibility curve"),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="homsim",
@@ -205,47 +205,24 @@ def build_parser() -> argparse.ArgumentParser:
                     "the bath cutoff frequency.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gamma", help="decoherence function table (closed "
-                                     "form vs quadrature)")
-    _bath_args(p)
-    p.add_argument("--tau-max", type=float, default=10.0)
-    p.add_argument("--points", type=int, default=200)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gamma)
-
-    p = sub.add_parser("fig1", help="time-resolved visibility of the three "
-                                    "reference baths")
-    p.add_argument("--A", type=float, default=DEFAULT_A)
-    p.add_argument("--theta", type=float, default=DEFAULT_THETA)
-    p.add_argument("--tau-max", type=float, default=10.0)
-    p.add_argument("--points", type=int, default=200)
-    p.add_argument("--out", default="fig1.csv")
-    p.set_defaults(func=cmd_curve, figure=True, windowed=False)
-
-    p = sub.add_parser("fig2", help="windowed visibility of the three "
-                                    "reference baths")
-    p.add_argument("--A", type=float, default=DEFAULT_A)
-    p.add_argument("--theta", type=float, default=DEFAULT_THETA)
-    p.add_argument("--delta-min", type=float, default=1e-3)
-    p.add_argument("--delta-max", type=float, default=10.0)
-    p.add_argument("--points", type=int, default=200)
-    p.add_argument("--out", default="fig2.csv")
-    p.set_defaults(func=cmd_curve, figure=True, windowed=True)
-
-    p = sub.add_parser("visibility", help="time-resolved visibility curve")
-    _bath_args(p)
-    p.add_argument("--tau-max", type=float, default=10.0)
-    p.add_argument("--points", type=int, default=200)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_curve, figure=False, windowed=False)
-
-    p = sub.add_parser("windowed", help="windowed visibility curve")
-    _bath_args(p)
-    p.add_argument("--delta-min", type=float, default=1e-3)
-    p.add_argument("--delta-max", type=float, default=10.0)
-    p.add_argument("--points", type=int, default=100)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_curve, figure=False, windowed=True)
+    for name, func, figure, grid, points, help_ in _GRID_COMMANDS:
+        p = sub.add_parser(name, help=help_)
+        if figure:
+            p.add_argument("--A", type=float, default=DEFAULT_A)
+            p.add_argument("--theta", type=float, default=DEFAULT_THETA)
+        else:
+            _bath_args(p)
+        if grid == "tau":
+            p.add_argument("--tau-max", type=float, default=10.0)
+        else:
+            p.add_argument("--delta-min", type=float, default=1e-3)
+            p.add_argument("--delta-max", type=float, default=10.0)
+        p.add_argument("--points", type=int, default=points)
+        p.add_argument("--out", **({"default": f"{name}.csv"} if figure
+                                   else {"required": True}))
+        p.set_defaults(func=func)
+        if func is cmd_curve:
+            p.set_defaults(figure=figure, windowed=grid == "delta")
 
     p = sub.add_parser("simulate", help="draw Monte Carlo click records")
     _bath_args(p)
@@ -286,7 +263,7 @@ def main(argv=None) -> int:
     except (QuadratureError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except _IOFailure as exc:
+    except (_IOFailure, OSError) as exc:
         print(f"I/O failure: {exc}", file=sys.stderr)
         return EXIT_IO
     except EmptySelectionError as exc:

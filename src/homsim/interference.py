@@ -110,6 +110,8 @@ def postselected_visibility(src: SourceConfig, delta):
     which is also |p_same - p_diff| / (p_same + p_diff) with each branch
     integrated over the window.  Unlike windowed_visibility() it depends on
     g; Delta = inf gives the bad-detector limit.  Vectorizes over Delta.
+    The weight e^{-g tau} and mass Delta exprel(-g Delta) hold no g Delta
+    that could underflow, so a subnormal Delta gives the limit nu(0) = 1.
     """
     if not src.identical:
         raise ValueError("postselected_visibility() is for identical sources")
@@ -118,9 +120,9 @@ def postselected_visibility(src: SourceConfig, delta):
         raise ValueError(f"window width must be > 0, got {delta}")
     g = src.g
     delta = np.minimum(delta, _WEIGHT_TAIL / g)
-    mass = -np.expm1(-g * delta)
+    mass = delta * special.exprel(-g * delta)
     return _scalar_or_array(
-        np.minimum(_window_integrals(src, delta, lambda t: g * np.exp(-g * t))
+        np.minimum(_window_integrals(src, delta, lambda t: np.exp(-g * t))
                    / mass, 1.0))
 
 
@@ -137,25 +139,41 @@ def windowed_visibility_markovian(bath: BathSpec, delta: float) -> float:
     return -math.expm1(-x) / x if x > 0 else 1.0
 
 
+# (1/2)_k / k!, the series of (1 - t)^{-1/2}: 60 terms at t <= 1/2 reach 1e-18
+_K = np.arange(60)
+_HALF_RISING = special.poch(0.5, _K) / special.factorial(_K)
+
+
 def windowed_visibility_ohmic_lowT(bath: BathSpec, delta: float) -> float:
     """Closed-form windowed visibility for a zero-temperature ohmic bath.
 
     Equal to the window average (1/Delta) int_0^Delta (1 + v^2)^{-2A} dv,
-    which is the real form of the incomplete-Beta expression
-    B_{-Delta^2}(1/2, 1 - 2A) / (2 i Delta); evaluated through 2F1, with the
-    A = 1/2 case on its own arctan branch.  Under this package's
-    (A/2) ln(1 + tau^2) vacuum term the zero-temperature nu(tau) is
-    (1 + tau^2)^{-A}, so this equals the zero-temperature nu'(Delta) of
+    the real form of B_{-Delta^2}(1/2, 1 - 2A) / (2 i Delta).  Under this
+    package's (A/2) ln(1 + tau^2) vacuum term the zero-temperature nu(tau)
+    is (1 + tau^2)^{-A}, so this equals the zero-temperature nu'(Delta) of
     windowed_visibility() at coupling 2A, not A.
+
+    Up to v = min(Delta, 1) the integral is a 2F1 at argument <= 1/2 (Pfaff
+    form).  Past v = 1, t = 1/(1 + v^2) makes the rest (1/2) int_y^{1/2}
+    t^{e-1} (1 - t)^{-1/2} dt, e = 2A - 1/2, y = 1/(1 + Delta^2), summed by
+    the binomial series with each ((1/2)^e - y^e)/e as -(1/2)^e L exprel(e L),
+    L = ln 2y: A = 1/4 needs no branch, Delta^2 is never formed, and every
+    finite Delta > 0 gives a finite value in [0, 1].
     """
     if bath.family is not BathFamily.OHMIC:
         raise ValueError("windowed_visibility_ohmic_lowT needs an ohmic bath")
-    if not delta > 0:
-        raise ValueError(f"window width must be > 0, got {delta}")
-    A = bath.A
-    if abs(A - 0.5) < 1e-14:
-        return math.atan(delta) / delta
-    return float(special.hyp2f1(0.5, 2.0 * A, 1.5, -delta * delta))
+    if not 0 < delta < math.inf:
+        raise ValueError(f"window width must be finite and > 0, got {delta}")
+    x = min(delta, 1.0) ** 2
+    mean = float(special.hyp2f1(0.5, 1.5 - 2.0 * bath.A, 1.5, x / (1.0 + x))
+                 ) / math.sqrt(1.0 + x)
+    if delta > 1.0:
+        ln_2y = math.log(2.0) - 2.0 * math.log(delta) - math.log1p(delta ** -2.0)
+        e = 2.0 * bath.A - 0.5 + _K
+        series = (_HALF_RISING * 0.5 ** e * special.exprel(e * ln_2y)).sum()
+        # ln_2y / delta first: the series alone reaches 1e305 at A = 0
+        mean = mean / delta - 0.5 * (ln_2y / delta) * series
+    return min(1.0, mean)
 
 
 def superohmic_asymptote(bath: BathSpec) -> float:

@@ -92,8 +92,9 @@ class VisibilityEstimate:
 class ClickBatch:
     """Click records as columns: t1, tau float64 and d1, d2 int8 (0 = +, 1 = -).
 
-    Raises ValueError unless every t1 and tau is finite and >= 0.  Iterating
-    yields ClickRecord objects; every other use reads the columns.
+    Raises ValueError unless the four columns are 1-D and of one length,
+    every detector is 0 or 1, and every t1 and tau is finite and >= 0.
+    Iterating yields ClickRecord objects; every other use reads the columns.
     """
 
     t1: np.ndarray
@@ -102,8 +103,14 @@ class ClickBatch:
     d2: np.ndarray
 
     def __post_init__(self):
-        for col, (dtype, _) in _RECORD.fields.items():
-            object.__setattr__(self, col, np.asarray(getattr(self, col), dtype))
+        cols = [np.asarray(getattr(self, col)) for col in _COLUMNS]
+        # checked before the cast to int8, which turns a detector 256 or 0.7 into 0
+        if ({c.shape for c in cols} != {(cols[0].size,)}
+                or not all(((d == 0) | (d == 1)).all() for d in cols[1::2])):
+            raise ValueError("need four 1-D columns of one length, "
+                             "every detector 0 (+) or 1 (-)")
+        for col, c, (dtype, _) in zip(_COLUMNS, cols, _RECORD.fields.values()):
+            object.__setattr__(self, col, c.astype(dtype, copy=False))
         _times(self.t1, self.tau)
 
     @classmethod
@@ -169,23 +176,19 @@ def simulate_ensemble(seed: int, n: int, src: SourceConfig,
                         for col in _COLUMNS))
 
 
-def _wilson(k: int, n: int, z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
-    if n == 0:
-        raise ValueError("no trials")
+def _visibilities(k, n):
+    """nu_hat = |2k - n| / n for k of n >= 1 records on one detector, and the
+    Wilson 95% interval of k / n mapped through |2p - 1|, folded at p = 1/2."""
+    z = _Z95
     p = k / n
     denom = 1.0 + z * z / n
     centre = (p + z * z / (2 * n)) / denom
-    half = z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denom
-    return max(0.0, centre - half), min(1.0, centre + half)
-
-
-def _fold_to_visibility(p_low: float, p_high: float) -> tuple[float, float]:
-    """Map a p_same interval through nu = |2p - 1|, folding across 1/2."""
-    lo, hi = abs(2 * p_low - 1), abs(2 * p_high - 1)
-    if p_low <= 0.5 <= p_high:
-        return 0.0, max(lo, hi)
-    return min(lo, hi), max(lo, hi)
+    half = z * np.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denom
+    p_low, p_high = np.maximum(0.0, centre - half), np.minimum(1.0, centre + half)
+    lo, hi = np.abs(2 * p_low - 1), np.abs(2 * p_high - 1)
+    return (np.abs(2 * k - n) / n,
+            np.where((p_low <= 0.5) & (0.5 <= p_high), 0.0, np.minimum(lo, hi)),
+            np.maximum(lo, hi))
 
 
 def estimate_visibility(records, window: Window) -> VisibilityEstimate:
@@ -201,9 +204,9 @@ def estimate_visibility(records, window: Window) -> VisibilityEstimate:
     if kept == 0:
         raise EmptySelectionError(
             f"no records inside window {window} (out of {len(batch)})")
-    ci_low, ci_high = _fold_to_visibility(*_wilson(n_same, kept))
+    nu_hat, ci_low, ci_high = map(float, _visibilities(n_same, kept))
     return VisibilityEstimate(
-        n_same=n_same, n_diff=kept - n_same, nu_hat=abs(2 * n_same - kept) / kept,
+        n_same=n_same, n_diff=kept - n_same, nu_hat=nu_hat,
         ci_low=ci_low, ci_high=ci_high, efficiency=kept / len(batch))
 
 
@@ -228,16 +231,17 @@ def binned_visibility(records, bin_edges) -> BinnedVisibility:
     if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0):
         raise ValueError("bin_edges must be strictly increasing with >= 2 entries")
     batch = ClickBatch.of(records)
-    # bins are half-open [a, b), the last one closed [a, b]
+    # np.histogram sorts what it is given, so the records outside every bin
+    # go first; bins are half-open [a, b), the last one closed [a, b]
+    inside = (edges[0] <= batch.tau) & (batch.tau <= edges[-1])
+    batch = batch if inside.all() else batch.select(inside)
     counts = np.histogram(batch.tau, edges)[0]
     same = np.histogram(batch.tau[batch.d1 == batch.d2], edges)[0]
-    pairs = list(zip(same.tolist(), counts.tolist()))
-    cis = [_fold_to_visibility(*_wilson(k, n)) if n else (None, None)
-           for k, n in pairs]
-    return BinnedVisibility(
-        edges=edges, counts=counts,
-        nu_hat=tuple(abs(2 * k - n) / n if n else None for k, n in pairs),
-        ci_low=tuple(lo for lo, _ in cis), ci_high=tuple(hi for _, hi in cis))
+    # an empty bin has no estimate; n = 1 there only keeps the arithmetic finite
+    nu_hat, ci_low, ci_high = (
+        tuple(np.where(counts > 0, col, None).tolist())
+        for col in _visibilities(same, np.maximum(counts, 1)))
+    return BinnedVisibility(edges, counts, nu_hat, ci_low, ci_high)
 
 
 def write_records(fh, records) -> None:

@@ -85,6 +85,54 @@ class TestUsageErrors:
                              "--t1-max", bad]) == cli.EXIT_USAGE
 
 
+# every flag and default of the seven subcommands, written out, so that a
+# change to how the parser is built cannot change what it parses
+_BATH_DEFAULTS = {"bath": "ohmic", "A": 0.5, "theta": 10.0, "exponent": None}
+_TAU_GRID = {"tau_max": 10.0}
+_DELTA_GRID = {"delta_min": 1e-3, "delta_max": 10.0}
+_PARSED_DEFAULTS = {
+    "gamma": (["--out", "o"], {**_BATH_DEFAULTS, **_TAU_GRID, "points": 200,
+                               "out": "o"}),
+    "fig1": ([], {"A": 0.5, "theta": 10.0, **_TAU_GRID, "points": 200,
+                  "out": "fig1.csv", "figure": True, "windowed": False}),
+    "fig2": ([], {"A": 0.5, "theta": 10.0, **_DELTA_GRID, "points": 200,
+                  "out": "fig2.csv", "figure": True, "windowed": True}),
+    "visibility": (["--out", "o"], {**_BATH_DEFAULTS, **_TAU_GRID,
+                                    "points": 200, "out": "o",
+                                    "figure": False, "windowed": False}),
+    "windowed": (["--out", "o"], {**_BATH_DEFAULTS, **_DELTA_GRID,
+                                  "points": 100, "out": "o", "figure": False,
+                                  "windowed": True}),
+    "simulate": (["--n", "5", "--seed", "1", "--out", "o"],
+                 {**_BATH_DEFAULTS, "g": 0.01, "n": 5, "seed": 1,
+                  "workers": 1, "out": "o"}),
+    "analyze": (["--records", "r", "--delta", "1"],
+                {"records": "r", "delta": 1.0, "t1_max": None, "bins": 0,
+                 "bins_out": "bins.csv"}),
+}
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", sorted(_PARSED_DEFAULTS))
+    def test_defaults(self, command):
+        required, expected = _PARSED_DEFAULTS[command]
+        parsed = vars(cli.build_parser().parse_args([command, *required]))
+        assert parsed.pop("func") is {
+            "gamma": cli.cmd_gamma, "simulate": cli.cmd_simulate,
+            "analyze": cli.cmd_analyze}.get(command, cli.cmd_curve)
+        assert parsed == {"command": command, **expected}
+
+    @pytest.mark.parametrize("command", sorted(_PARSED_DEFAULTS))
+    def test_required_flags(self, command, capsys):
+        required = _PARSED_DEFAULTS[command][0]
+        for i in range(0, len(required), 2):
+            with pytest.raises(SystemExit) as exc:
+                cli.build_parser().parse_args(
+                    [command, *required[:i], *required[i + 2:]])
+            assert exc.value.code == cli.EXIT_USAGE
+            assert f"required: {required[i]}" in capsys.readouterr().err
+
+
 class TestGamma:
     def test_table_diff_small(self, tmp_path):
         out = tmp_path / "gamma.csv"

@@ -190,6 +190,13 @@ class TestWindowed:
                 for g in (1e-4, 1e-3)]
         assert abs(vals[0] - vals[1]) < 1e-4
 
+    @pytest.mark.parametrize("bath", [OHMIC, SUPER, MARKOV],
+                             ids=["ohmic", "superohmic", "markovian"])
+    def test_postselected_subnormal_window(self, bath):
+        # g Delta underflows to 0 here; the limit is nu(0) = 1
+        for g in (1e-4, 0.01, 1.0):
+            assert postselected_visibility(src_of(bath, g), 5e-324) == 1.0
+
     def test_postselected_markovian_closed_form(self):
         # g (1 - e^{-(g + k) Delta}) / ((g + k)(1 - e^{-g Delta})),
         # with k = 2 A pi / theta
@@ -266,6 +273,48 @@ class TestWindowedOhmicLowT:
         bath = BathSpec(BathFamily.OHMIC, A, 10.0)
         assert windowed_visibility_ohmic_lowT(bath, delta) == \
             pytest.approx(series, abs=1e-8)
+
+
+# (1/Delta) int_0^Delta (1 + v^2)^{-2A} dv in elementary functions, written
+# so that no Delta^2 is formed
+_LOWT_ELEMENTARY = {
+    0.25: lambda d: math.asinh(d) / d,
+    0.5: lambda d: math.atan(d) / d,
+    0.75: lambda d: 1.0 / math.hypot(1.0, d),
+    1.0: lambda d: (1.0 / (d + 1.0 / d) + math.atan(d)) / (2.0 * d),
+}
+
+
+class TestWindowedOhmicLowTRange:
+    @pytest.mark.parametrize("A", sorted(_LOWT_ELEMENTARY))
+    @pytest.mark.parametrize("delta", [1e-3, 1.0, 1e3, 1e6, 1e7, 1e154,
+                                       1e155, 1e300])
+    def test_matches_elementary_form(self, A, delta):
+        bath = BathSpec(BathFamily.OHMIC, A, 10.0)
+        assert windowed_visibility_ohmic_lowT(bath, delta) == pytest.approx(
+            _LOWT_ELEMENTARY[A](delta), rel=1e-13, abs=0)
+
+    def test_finite_and_in_unit_interval(self):
+        deltas = [5e-324, *np.geomspace(1e-3, 1e300, 41),
+                  1.7976931348623157e308]
+        for A in np.linspace(0.01, 3.0, 300):
+            bath = BathSpec(BathFamily.OHMIC, float(A), 10.0)
+            for delta in deltas:
+                value = windowed_visibility_ohmic_lowT(bath, float(delta))
+                assert math.isfinite(value) and 0.0 <= value <= 1.0
+
+    @pytest.mark.parametrize("delta", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_window(self, delta):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            windowed_visibility_ohmic_lowT(OHMIC, delta)
+
+    def test_continuous_at_unit_window(self):
+        # the two forms meet at Delta = 1
+        for A in (0.01, 0.25, 0.6, 3.0):
+            bath = BathSpec(BathFamily.OHMIC, A, 10.0)
+            below = windowed_visibility_ohmic_lowT(bath, 1.0)
+            above = windowed_visibility_ohmic_lowT(bath, math.nextafter(1.0, 2))
+            assert above == pytest.approx(below, rel=1e-14)
 
 
 class TestSuperohmicAsymptote:

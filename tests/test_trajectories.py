@@ -270,8 +270,19 @@ def _json_lines(batch) -> str:
                                "d2": r.d2.value}) + "\n" for r in batch)
 
 
-def _interval(k, n):
-    return trajectories._fold_to_visibility(*trajectories._wilson(k, n))
+def _interval(k, n, z=1.959963984540054):
+    """The reference 95% interval of nu, one scalar at a time: the Wilson
+    score interval of p_same = k / n, mapped through nu = |2p - 1| and folded
+    across p = 1/2."""
+    p = k / n
+    denom = 1.0 + z * z / n
+    centre = (p + z * z / (2 * n)) / denom
+    half = z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denom
+    p_low, p_high = max(0.0, centre - half), min(1.0, centre + half)
+    lo, hi = abs(2 * p_low - 1), abs(2 * p_high - 1)
+    if p_low <= 0.5 <= p_high:
+        return 0.0, max(lo, hi)
+    return min(lo, hi), max(lo, hi)
 
 
 class TestRecordLayerProperties:
@@ -283,6 +294,22 @@ class TestRecordLayerProperties:
             ClickRecord(d1=Detector.PLUS, d2=Detector.PLUS, **times)
         with pytest.raises(ValueError, match="finite and >= 0"):
             ClickBatch([times["t1"]], [0], [times["tau"]], [0])
+
+    @pytest.mark.parametrize("columns", [
+        ([0.1, 0.2, 0.3], [0], [1.0, 2.0], [0, 1, 1, 0]),
+        ([0.1], [7], [1.0], [-3]),
+        ([0.1], [-1], [1.0], [0]),
+        ([0.1], [0], [1.0], [2]),
+        ([0.1], np.array([256]), [1.0], [0]),
+        ([0.1], [0.7], [1.0], [0]),
+        ([[0.1, 0.2]] * 2, [[0, 1]] * 2, [[1.0, 2.0]] * 2, [[0, 1]] * 2),
+        (0.1, 0, 1.0, 0),
+    ], ids=["lengths", "codes-7-and-minus-3", "code-minus-1", "code-2",
+            "code-256", "code-0.7", "two-dimensional", "scalars"])
+    def test_batch_rejects_bad_columns(self, columns):
+        with pytest.raises(ValueError, match="1-D columns of one length, "
+                                             "every detector 0"):
+            ClickBatch(*columns)
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(batch=_batches())
