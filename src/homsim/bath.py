@@ -394,9 +394,13 @@ def lambda_phase_closed(bath: BathSpec, t1, t2):
 def phi_phase(bath1: BathSpec, bath2: BathSpec, t1, t2):
     """Relative phase phi(t1, t2) = Lambda_2 - Lambda_1 (vectorizes).
 
-    Identical bath specs short-circuit to exactly 0.
+    A Markovian bath is a pure rate law with no polaron shift, so its Lambda
+    counts as 0.  Identical bath specs short-circuit to exactly 0.
     """
+    t1, t2 = _ordered(t1, t2)
+    zero = np.zeros(np.broadcast(t1, t2).shape)
     if bath1 == bath2:
-        t1, t2 = _ordered(t1, t2)
-        return _scalar_or_array(np.zeros(np.broadcast(t1, t2).shape))
-    return _scalar_or_array(_lambda(bath2, t1, t2) - _lambda(bath1, t1, t2))
+        return _scalar_or_array(zero)
+    lam1, lam2 = (zero if bath.family is BathFamily.MARKOVIAN
+                  else _lambda(bath, t1, t2) for bath in (bath1, bath2))
+    return _scalar_or_array(lam2 - lam1)

@@ -10,8 +10,12 @@ Exit codes: 0 success, 2 bad usage, 3 numerical failure, 4 I/O failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
+import os
+import secrets
+import stat
 import sys
 
 import numpy as np
@@ -126,6 +130,40 @@ def cmd_curve(args) -> int:
     return EXIT_OK
 
 
+@contextlib.contextmanager
+def _replace_on_success(path):
+    """A text handle for writing ``path``.
+
+    A regular file, or one that does not exist yet, is written as a new file
+    next to it, which replaces it, with its permission bits, when the block
+    succeeds and is removed when it fails: a failed run leaves no partial
+    file, and a file already at ``path`` untouched.  A symbolic link is
+    followed: the file it points to is replaced.  Anything else, such as
+    /dev/null or a pipe, is opened and written in place.
+    """
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w") as fh:
+            yield fh
+        return
+    path = os.path.realpath(path)
+    tmp = f"{path}.{secrets.token_hex(4)}.tmp"
+    fh = open(tmp, "x")  # outside the try: a file this call did not make stays
+    try:
+        with fh:
+            if mode is not None:
+                os.chmod(fh.fileno(), stat.S_IMODE(mode))
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
 def cmd_simulate(args) -> int:
     bath = _bath(args)
     try:
@@ -134,13 +172,13 @@ def cmd_simulate(args) -> int:
         raise UsageError(str(exc)) from exc
     if args.n < 1 or args.seed < 0 or args.workers < 1:
         raise UsageError("need --n >= 1, --seed >= 0 and --workers >= 1")
-    try:
-        records = trajectories.simulate_ensemble(args.seed, args.n, src,
-                                                 workers=args.workers)
-    except ValueError as exc:  # click times overflow when 1/g is huge
-        raise FloatingPointError(f"click times overflow: {exc}") from exc
-    with open(args.out, "w") as fh:
-        trajectories.write_records(fh, records)
+    # each chunk is written as soon as it is drawn
+    with _replace_on_success(args.out) as fh:
+        try:
+            for chunk in trajectories.simulate_chunks(args.seed, args.n, src):
+                trajectories.write_records(fh, chunk)
+        except ValueError as exc:  # click times overflow when 1/g is huge
+            raise FloatingPointError(f"click times overflow: {exc}") from exc
     return EXIT_OK
 
 
@@ -151,24 +189,25 @@ def cmd_analyze(args) -> int:
         raise UsageError(str(exc)) from exc
     if args.bins < 0:
         raise UsageError(f"--bins must be >= 0, got {args.bins}")
+    # the file is post-selected a block at a time: only the retained records'
+    # tau and same-detector flag are kept
     try:
         with open(args.records) as fh:
-            records = trajectories.read_records(fh)
+            selection = trajectories.Selection.of(
+                trajectories.read_blocks(fh), window)
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise _IOFailure(f"malformed record file: {exc!r}") from exc
 
-    est = trajectories.estimate_visibility(records, window)
+    est = selection.estimate(window)
     if args.bins:
-        keep = window.keep(records)
-        kept = records if keep.all() else records.select(keep)
-        hi = args.delta if math.isfinite(args.delta) else float(kept.tau.max())
+        hi = (args.delta if math.isfinite(args.delta)
+              else float(selection.tau.max()))
         try:
-            binned = trajectories.binned_visibility(
-                kept, np.linspace(0.0, hi, args.bins + 1))
+            binned = selection.binned(np.linspace(0.0, hi, args.bins + 1))
         except ValueError as exc:
             raise UsageError(f"--bins {args.bins} cannot split the range "
                              f"[0, {hi!r}]") from exc
-    print(f"records:     {len(records)}")
+    print(f"records:     {selection.seen}")
     print(f"retained:    {est.n_same + est.n_diff} "
           f"(same={est.n_same}, different={est.n_diff})")
     print(f"nu_hat:      {est.nu_hat:.6f}")

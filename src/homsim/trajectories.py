@@ -8,7 +8,11 @@ coherence factor at that separation.
 
 Records are generated in fixed-size chunks, each from its own counter-based
 substream spawned off the ensemble seed, so the output is a pure function of
-(seed, n, source).  Records are held as columns, in a ClickBatch.
+(seed, n, source).  Records are held as columns, in a ClickBatch.  Both ends
+of the record file stream: simulate_chunks draws a chunk at a time and
+read_blocks parses a block at a time, and a Selection keeps of each batch
+only what the estimators need, so a pipeline built from them holds a chunk
+or a block, plus 9 bytes per retained record, at once.
 """
 
 from __future__ import annotations
@@ -28,12 +32,15 @@ __all__ = [
     "ClickBatch",
     "ClickRecord",
     "EmptySelectionError",
+    "Selection",
     "VisibilityEstimate",
     "Window",
     "binned_visibility",
     "estimate_visibility",
+    "read_blocks",
     "read_records",
     "sample_record",
+    "simulate_chunks",
     "simulate_ensemble",
     "write_records",
 ]
@@ -160,20 +167,36 @@ def sample_record(rng: np.random.Generator, src: SourceConfig) -> ClickRecord:
     return next(iter(_draw(rng, src, 1)))
 
 
+def simulate_chunks(seed: int, n: int, src: SourceConfig):
+    """The n records of simulate_ensemble as ClickBatch chunks of up to
+    CHUNK_SIZE records, each drawn from its own Philox substream of the seed
+    only when it is asked for."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    return (_draw(np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(seed, spawn_key=(c,)))), src,
+        min(CHUNK_SIZE, n - start))
+        for c, start in enumerate(range(0, n, CHUNK_SIZE)))
+
+
 def simulate_ensemble(seed: int, n: int, src: SourceConfig,
                       workers: int = 1) -> ClickBatch:
     """Generate n records, a pure function of (seed, n, src).
 
     Sampling is serial: ``workers`` must be >= 1 but changes nothing.
     """
-    if n < 1 or workers < 1:
-        raise ValueError("need n >= 1 and workers >= 1")
-    parts = [_draw(np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(seed, spawn_key=(c,)))), src,
-        min(CHUNK_SIZE, n - start))
-        for c, start in enumerate(range(0, n, CHUNK_SIZE))]
+    if workers < 1:
+        raise ValueError("need workers >= 1")
+    parts = list(simulate_chunks(seed, n, src))
     return ClickBatch(*(np.concatenate([getattr(p, col) for p in parts])
                         for col in _COLUMNS))
+
+
+def _extend(col: np.ndarray, part: np.ndarray) -> None:
+    """Append ``part`` to ``col`` in place; nothing else may view ``col``."""
+    n = col.size
+    col.resize(n + part.size, refcheck=False)
+    col[n:] = part
 
 
 def _visibilities(k, n):
@@ -191,25 +214,6 @@ def _visibilities(k, n):
             np.maximum(lo, hi))
 
 
-def estimate_visibility(records, window: Window) -> VisibilityEstimate:
-    """Post-selected visibility with a 95% score interval.
-
-    Raises EmptySelectionError when nothing survives the window, which is a
-    different outcome from an estimate of zero.
-    """
-    batch = ClickBatch.of(records)
-    keep = window.keep(batch)
-    kept = int(np.count_nonzero(keep))
-    n_same = int(np.count_nonzero(keep & (batch.d1 == batch.d2)))
-    if kept == 0:
-        raise EmptySelectionError(
-            f"no records inside window {window} (out of {len(batch)})")
-    nu_hat, ci_low, ci_high = map(float, _visibilities(n_same, kept))
-    return VisibilityEstimate(
-        n_same=n_same, n_diff=kept - n_same, nu_hat=nu_hat,
-        ci_low=ci_low, ci_high=ci_high, efficiency=kept / len(batch))
-
-
 @dataclass(frozen=True)
 class BinnedVisibility:
     """Per-bin empirical visibility; empty bins carry nu_hat = None."""
@@ -225,23 +229,81 @@ class BinnedVisibility:
         return 0.5 * (self.edges[:-1] + self.edges[1:])
 
 
+@dataclass(frozen=True, eq=False)
+class Selection:
+    """What the estimators need of the records a window keeps.
+
+    ``seen`` counts every record offered to the window; ``tau`` (float64)
+    and ``same`` (bool: the second click repeats the first detector) hold
+    one entry per record kept, 9 bytes in all.
+    """
+
+    seen: int
+    tau: np.ndarray
+    same: np.ndarray
+
+    @classmethod
+    def of(cls, batches, window: Window) -> "Selection":
+        """Post-select an iterable of ClickBatch one batch at a time, the
+        kept columns grown in place."""
+        seen, tau, same = 0, np.empty(0), np.empty(0, bool)
+        for batch in batches:
+            keep = window.keep(batch)
+            seen += len(batch)
+            _extend(tau, batch.tau[keep])
+            _extend(same, (batch.d1 == batch.d2)[keep])
+        return cls(seen, tau, same)
+
+    def estimate(self, window: Window) -> VisibilityEstimate:
+        """Visibility of the kept records with a 95% score interval.
+
+        Raises EmptySelectionError, naming ``window``, the window the records
+        were kept by, when none was kept, which is a different outcome from
+        an estimate of zero.
+        """
+        kept = self.tau.size
+        if kept == 0:
+            raise EmptySelectionError(
+                f"no records inside window {window} (out of {self.seen})")
+        n_same = int(np.count_nonzero(self.same))
+        nu_hat, ci_low, ci_high = map(float, _visibilities(n_same, kept))
+        return VisibilityEstimate(
+            n_same=n_same, n_diff=kept - n_same, nu_hat=nu_hat,
+            ci_low=ci_low, ci_high=ci_high, efficiency=kept / self.seen)
+
+    def binned(self, bin_edges) -> BinnedVisibility:
+        """Visibility of the kept records grouped by tau into the given bins."""
+        edges = np.asarray(bin_edges, dtype=float)
+        if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0):
+            raise ValueError("bin_edges must be strictly increasing with >= 2 entries")
+        # np.histogram sorts what it is given, so the records outside every
+        # bin go first; bins are half-open [a, b), the last one closed [a, b]
+        inside = (edges[0] <= self.tau) & (self.tau <= edges[-1])
+        tau, same = ((self.tau, self.same) if inside.all()
+                     else (self.tau[inside], self.same[inside]))
+        counts = np.histogram(tau, edges)[0]
+        n_same = np.histogram(tau[same], edges)[0]
+        # an empty bin has no estimate; n = 1 there only keeps the arithmetic finite
+        nu_hat, ci_low, ci_high = (
+            tuple(np.where(counts > 0, col, None).tolist())
+            for col in _visibilities(n_same, np.maximum(counts, 1)))
+        return BinnedVisibility(edges, counts, nu_hat, ci_low, ci_high)
+
+
+def estimate_visibility(records, window: Window) -> VisibilityEstimate:
+    """Post-selected visibility with a 95% score interval.
+
+    Raises EmptySelectionError when nothing survives the window, which is a
+    different outcome from an estimate of zero.
+    """
+    return Selection.of([ClickBatch.of(records)], window).estimate(window)
+
+
 def binned_visibility(records, bin_edges) -> BinnedVisibility:
     """Empirical visibility of records grouped by tau into the given bins."""
-    edges = np.asarray(bin_edges, dtype=float)
-    if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0):
-        raise ValueError("bin_edges must be strictly increasing with >= 2 entries")
     batch = ClickBatch.of(records)
-    # np.histogram sorts what it is given, so the records outside every bin
-    # go first; bins are half-open [a, b), the last one closed [a, b]
-    inside = (edges[0] <= batch.tau) & (batch.tau <= edges[-1])
-    batch = batch if inside.all() else batch.select(inside)
-    counts = np.histogram(batch.tau, edges)[0]
-    same = np.histogram(batch.tau[batch.d1 == batch.d2], edges)[0]
-    # an empty bin has no estimate; n = 1 there only keeps the arithmetic finite
-    nu_hat, ci_low, ci_high = (
-        tuple(np.where(counts > 0, col, None).tolist())
-        for col in _visibilities(same, np.maximum(counts, 1)))
-    return BinnedVisibility(edges, counts, nu_hat, ci_low, ci_high)
+    return Selection(len(batch), batch.tau,
+                     batch.d1 == batch.d2).binned(bin_edges)
 
 
 def write_records(fh, records) -> None:
@@ -314,26 +376,24 @@ def _block_rows(block: str) -> np.ndarray:
     return _line_rows(block.split("\n"))
 
 
-def read_records(fh) -> ClickBatch:
-    """Parse JSONL records a block of whole lines at a time.
+def read_blocks(fh):
+    """Parse JSONL records a block of about _BLOCK characters of whole lines
+    at a time, yielding each block's records as one validated ClickBatch.
 
     Blocks in write_records' layout are parsed with one json.loads each, any
     other JSONL line by line.  A bad line raises ValueError, KeyError,
     TypeError, or OverflowError for a number too large for a float.
     """
-    rows = np.empty(0, _RECORD)
     while block := fh.read(_BLOCK):
-        part = _block_rows(block + fh.readline())
-        n = rows.size
-        rows.resize(n + part.size, refcheck=False)  # in place, as np.fromiter
-        rows[n:] = part
-    return ClickBatch(*(rows[col] for col in _COLUMNS))
+        rows = _block_rows(block + fh.readline())
+        yield ClickBatch(*(rows[col] for col in _COLUMNS))
 
 
-def ks_statistic_tau(records, g: float) -> tuple[float, float]:
-    """Kolmogorov-Smirnov statistic and p-value of tau against Exp(rate=g)."""
-    from scipy import stats
-
-    result = stats.kstest(ClickBatch.of(records).tau,
-                          stats.expon(scale=1.0 / g).cdf)
-    return result.statistic, result.pvalue
+def read_records(fh) -> ClickBatch:
+    """Every record of read_blocks(fh), in one batch, each column grown in
+    place a block at a time."""
+    cols = [np.empty(0, dtype) for dtype, _ in _RECORD.fields.values()]
+    for batch in read_blocks(fh):
+        for col, name in zip(cols, _COLUMNS):
+            _extend(col, getattr(batch, name))
+    return ClickBatch(*cols)

@@ -6,14 +6,19 @@ import io
 import json
 import math
 import os
+import stat
 import tempfile
+import tracemalloc
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from homsim import cli
+from homsim import cli, trajectories
 from homsim.bath import BathFamily, BathSpec, gamma_quadrature
+from homsim.dynamics import SourceConfig
 
 
 def read_csv(path):
@@ -336,8 +341,12 @@ class TestSimulateAnalyze:
                          "--delta", "1"]) == cli.EXIT_IO
 
     def test_simulate_unwritable_path(self, tmp_path):
-        assert cli.main(["simulate", "--n", "5", "--seed", "1", "--out",
-                         str(tmp_path / "no" / "dir.jsonl")]) == cli.EXIT_IO
+        # the output file is opened before the first record is drawn
+        with mock.patch.object(trajectories, "_draw",
+                               side_effect=trajectories._draw) as draw:
+            assert cli.main(["simulate", "--n", "5", "--seed", "1", "--out",
+                             str(tmp_path / "no" / "dir.jsonl")]) == cli.EXIT_IO
+        assert draw.call_count == 0
 
     def test_simulate_overflowing_times(self, tmp_path):
         # 1/g overflows, so the drawn click times are infinite
@@ -353,6 +362,179 @@ class TestSimulateAnalyze:
                          "--theta", "1e300", "--n", "2000", "--seed", "1",
                          "--out", str(out)]) == cli.EXIT_NUMERIC
         assert not out.exists()
+
+
+def _run(argv):
+    """(exit code, stdout) of the CLI run in-process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def _library_analyze(path, delta, t1_max, bins, bins_out):
+    """analyze's stdout, with its bins CSV written to bins_out, from the
+    whole file read into one batch and the library estimators."""
+    with open(path) as fh:
+        records = trajectories.read_records(fh)
+    window = trajectories.Window(delta, t1_max)
+    est = trajectories.estimate_visibility(records, window)
+    kept = records.select(window.keep(records))
+    hi = delta if math.isfinite(delta) else float(kept.tau.max())
+    binned = trajectories.binned_visibility(kept, np.linspace(0.0, hi, bins + 1))
+    with open(bins_out, "w", newline="") as fh:
+        csv.writer(fh).writerows(
+            [["tau_mid", "n", "nu_hat", "ci_low", "ci_high"]]
+            + [[repr(float(mid)), n] + [v if v is None else repr(v)
+                                        for v in cells]
+               for mid, n, *cells in zip(binned.midpoints, binned.counts.tolist(),
+                                         binned.nu_hat, binned.ci_low,
+                                         binned.ci_high)])
+    return (f"records:     {len(records)}\n"
+            f"retained:    {est.n_same + est.n_diff} "
+            f"(same={est.n_same}, different={est.n_diff})\n"
+            f"nu_hat:      {est.nu_hat:.6f}\n"
+            f"95% CI:      [{est.ci_low:.6f}, {est.ci_high:.6f}]\n"
+            f"efficiency:  {est.efficiency:.6f}\n")
+
+
+_MARKOV_ARGS = ["--bath", "markovian", "--A", "0.5", "--theta", "10",
+                "--g", "0.01"]
+_SRC_M = SourceConfig.identical_sources(
+    0.01, BathSpec(BathFamily.MARKOVIAN, 0.5, 10.0))
+
+
+class TestStreaming:
+    """simulate writes a chunk at a time and analyze reads a block at a time;
+    their outputs equal those of the whole-batch library calls."""
+
+    @pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 3 * 4096 + 5])
+    def test_record_file_matches_library(self, tmp_path, n):
+        out = tmp_path / "r.jsonl"
+        assert cli.main(["simulate", *_MARKOV_ARGS, "--n", str(n), "--seed",
+                         "8", "--out", str(out)]) == cli.EXIT_OK
+        buf = io.StringIO()
+        trajectories.write_records(buf, trajectories.simulate_ensemble(8, n, _SRC_M))
+        assert out.read_bytes() == buf.getvalue().encode()
+        assert os.listdir(tmp_path) == ["r.jsonl"]
+
+    @pytest.mark.parametrize("block", [4000, trajectories._BLOCK])
+    @pytest.mark.parametrize("t1_max", [None, "30"])
+    @pytest.mark.parametrize("delta", ["0.5", "inf"])
+    def test_analyze_matches_library(self, tmp_path, delta, t1_max, block):
+        rec = tmp_path / "r.jsonl"
+        assert cli.main(["simulate", *_MARKOV_ARGS, "--n", str(3 * 4096 + 5),
+                         "--seed", "2", "--out", str(rec)]) == cli.EXIT_OK
+        flags = [] if t1_max is None else ["--t1-max", t1_max]
+        with mock.patch.object(trajectories, "_BLOCK", block):
+            code, stdout = _run(["analyze", "--records", str(rec), "--delta",
+                                 delta, *flags, "--bins", "9", "--bins-out",
+                                 str(tmp_path / "bins.csv")])
+        assert code == cli.EXIT_OK
+        expected = _library_analyze(
+            rec, float(delta), None if t1_max is None else float(t1_max), 9,
+            tmp_path / "expected.csv")
+        assert stdout == expected
+        assert (tmp_path / "bins.csv").read_bytes() == \
+            (tmp_path / "expected.csv").read_bytes()
+
+    def test_bad_line_in_last_block(self, tmp_path, capsys):
+        rec = tmp_path / "r.jsonl"
+        assert cli.main(["simulate", *_MARKOV_ARGS, "--n", "2000", "--seed",
+                         "4", "--out", str(rec)]) == cli.EXIT_OK
+        with open(rec, "a") as fh:
+            fh.write('{"t1": 0.1, "d1": "+", "tau": -1.0, "d2": "+"}\n')
+        capsys.readouterr()
+        with mock.patch.object(trajectories, "_BLOCK", 4000):
+            assert cli.main(["analyze", "--records", str(rec), "--delta", "1",
+                             "--bins", "5", "--bins-out",
+                             str(tmp_path / "bins.csv")]) == cli.EXIT_IO
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "malformed record file" in err
+        assert not (tmp_path / "bins.csv").exists()
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failure_in_second_chunk(self, tmp_path, existing):
+        out = tmp_path / "r.jsonl"
+        if existing:
+            out.write_text("an earlier file\n")
+        draws, real_draw = [], trajectories._draw
+
+        def draw(*args):
+            draws.append(args)
+            if len(draws) == 2:
+                raise FloatingPointError("failed in chunk 2")
+            return real_draw(*args)
+
+        with mock.patch.object(trajectories, "_draw", side_effect=draw):
+            assert cli.main(["simulate", *_MARKOV_ARGS, "--n", "10000",
+                             "--seed", "1", "--out", str(out)]) == cli.EXIT_NUMERIC
+        assert len(draws) == 2
+        assert os.listdir(tmp_path) == (["r.jsonl"] if existing else [])
+        if existing:
+            assert out.read_text() == "an earlier file\n"
+
+    def test_devnull_written_in_place(self):
+        assert cli.main(["simulate", *_MARKOV_ARGS, "--n", "5000", "--seed",
+                         "1", "--out", os.devnull]) == cli.EXIT_OK
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+    def test_pipe_written_in_place(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        # a reader is open, so opening the writing end does not block; 100
+        # records fit in the pipe's buffer
+        fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert cli.main(["simulate", *_MARKOV_ARGS, "--n", "100", "--seed",
+                             "1", "--out", str(fifo)]) == cli.EXIT_OK
+            data = os.read(fd, 1 << 16)
+        finally:
+            os.close(fd)
+        buf = io.StringIO()
+        trajectories.write_records(buf, trajectories.simulate_ensemble(1, 100, _SRC_M))
+        assert data == buf.getvalue().encode()
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert os.listdir(tmp_path) == ["pipe"]
+
+    def test_replaced_file_and_link_keep_mode(self, tmp_path):
+        out, link = tmp_path / "r.jsonl", tmp_path / "link.jsonl"
+        out.write_text("an earlier file\n")
+        out.chmod(0o600)
+        link.symlink_to(out)
+        assert cli.main(["simulate", *_MARKOV_ARGS, "--n", "10", "--seed", "1",
+                         "--out", str(link)]) == cli.EXIT_OK
+        assert link.is_symlink()
+        assert stat.S_IMODE(out.stat().st_mode) == 0o600
+        buf = io.StringIO()
+        trajectories.write_records(buf, trajectories.simulate_ensemble(1, 10, _SRC_M))
+        assert out.read_text() == buf.getvalue()
+        assert sorted(os.listdir(tmp_path)) == ["link.jsonl", "r.jsonl"]
+
+    def test_memory_stays_flat(self, tmp_path):
+        # the simulate and analyze --delta 1 peaks are set by one chunk or
+        # block, not by the number of records
+        def peak(argv):
+            tracemalloc.start()
+            try:
+                code, _ = _run(argv)
+                return code, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peaks = []
+        for n in (50_000, 400_000):
+            rec = str(tmp_path / f"r{n}.jsonl")
+            sim = peak(["simulate", *_MARKOV_ARGS, "--n", str(n), "--seed",
+                        "6", "--out", rec])
+            ana = peak(["analyze", "--records", rec, "--delta", "1",
+                        "--bins", "20", "--bins-out", str(tmp_path / "b.csv")])
+            assert sim[0] == ana[0] == cli.EXIT_OK
+            peaks.append((sim[1], ana[1]))
+        (sim_small, ana_small), (sim_large, ana_large) = peaks
+        assert abs(sim_large - sim_small) <= 2 << 20
+        assert abs(ana_large - ana_small) <= 2 << 20
 
 
 _ANY_FLOAT = st.one_of(st.floats(), st.floats(-1.0, 100.0), st.sampled_from(

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from homsim.bath import BathFamily, BathSpec, gamma_value, phi_phase
+from homsim.bath import (BathFamily, BathSpec, gamma_closed_array,
+                         gamma_value, phi_phase)
 from homsim.dynamics import (ConditionalState, Detector, SourceConfig,
-                             coherence, conditional_state, first_click_density,
-                             second_click_density, survival_probability)
+                             coherence, coherence_factor, conditional_state,
+                             first_click_density, second_click_density,
+                             survival_probability)
 
 OHMIC = BathSpec(BathFamily.OHMIC, 0.5, 10.0)
 MARKOV = BathSpec(BathFamily.MARKOVIAN, 0.5, 10.0)
@@ -53,6 +55,25 @@ class TestCoherence:
                 math.exp(-(gamma_value(b1, tau) + gamma_value(b2, tau))),
                 rel=1e-14)
             assert phi[i] == phi_phase(b1, b2, t1, t1 + tau)
+
+    # a Markovian bath is a pure rate law: no polaron shift, so no phase
+    _T1S, _TAUS = np.array([0.0, 1.0, 40.0, 3.0]), np.array([0.0, 2.5, 7.0, 300.0])
+
+    def test_markovian_pair_equal_coupling_is_identical(self):
+        pair = SourceConfig(g=0.01, bath1=MARKOV, bath2=MARKOV, identical=False)
+        np.testing.assert_array_equal(coherence_factor(pair, self._T1S, self._TAUS),
+                                      coherence_factor(SRC_M, self._T1S, self._TAUS))
+
+    def test_markovian_pair_unequal_coupling(self):
+        weak = BathSpec(BathFamily.MARKOVIAN, 0.25, 10.0)
+        for b1, b2 in ((weak, MARKOV), (MARKOV, weak)):
+            pair = SourceConfig(g=0.01, bath1=b1, bath2=b2, identical=False)
+            np.testing.assert_array_equal(
+                coherence_factor(pair, self._T1S, self._TAUS),
+                np.exp(-(gamma_closed_array(b1, self._TAUS)
+                         + gamma_closed_array(b2, self._TAUS))))
+            assert coherence_factor(pair, 2.0, 3.0) == math.exp(
+                -(gamma_value(b1, 3.0) + gamma_value(b2, 3.0)))
 
 
 class TestSurvival:

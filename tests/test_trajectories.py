@@ -10,15 +10,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from homsim import trajectories
 from homsim.bath import BathFamily, BathSpec
 from homsim.dynamics import Detector, SourceConfig
-from homsim.trajectories import (ClickBatch, ClickRecord, EmptySelectionError,
-                                 Window, binned_visibility,
-                                 estimate_visibility, ks_statistic_tau,
-                                 read_records, sample_record,
-                                 simulate_ensemble, write_records)
+from homsim.trajectories import (CHUNK_SIZE, ClickBatch, ClickRecord,
+                                 EmptySelectionError, Selection, Window,
+                                 binned_visibility, estimate_visibility,
+                                 read_blocks, read_records, sample_record,
+                                 simulate_chunks, simulate_ensemble,
+                                 write_records)
 
 MARKOV = BathSpec(BathFamily.MARKOVIAN, 0.5, 10.0)
 OHMIC = BathSpec(BathFamily.OHMIC, 0.5, 10.0)
@@ -30,6 +32,13 @@ SRC_M = SourceConfig.identical_sources(0.01, MARKOV)
 
 def make_rng(seed=0):
     return np.random.Generator(np.random.Philox(seed))
+
+
+def ks_statistic_tau(records, g: float) -> tuple[float, float]:
+    """Kolmogorov-Smirnov statistic and p-value of tau against Exp(rate=g)."""
+    result = stats.kstest(ClickBatch.of(records).tau,
+                          stats.expon(scale=1.0 / g).cdf)
+    return result.statistic, result.pvalue
 
 
 class TestSampleRecord:
@@ -95,6 +104,22 @@ class TestSimulateEnsemble:
             simulate_ensemble(1, 0, SRC_M)
         with pytest.raises(ValueError):
             simulate_ensemble(1, 10, SRC_M, workers=0)
+
+    def test_chunks_drawn_on_demand(self):
+        n = 3 * CHUNK_SIZE + 5
+        with mock.patch.object(trajectories, "_draw",
+                               side_effect=trajectories._draw) as draw:
+            chunks = simulate_chunks(42, n, SRC_M)
+            assert draw.call_count == 0
+            first = next(chunks)
+            assert draw.call_count == 1
+            chunks = [first, *chunks]
+        assert [len(c) for c in chunks] == [CHUNK_SIZE] * 3 + [5]
+        assert ClickBatch(*(np.concatenate([getattr(c, col) for c in chunks])
+                            for col in ("t1", "d1", "tau", "d2"))) == \
+            simulate_ensemble(42, n, SRC_M)
+        with pytest.raises(ValueError):
+            simulate_chunks(1, 0, SRC_M)
 
     def test_nonidentical_powerlaw_worker_invariant(self):
         src = SourceConfig(0.01, BathSpec(BathFamily.POWER_LAW, 0.5, 10.0, n=2.5),
@@ -244,8 +269,8 @@ class TestSerialization:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the columns hold 18 bytes per record; one array grown in place
-        # peaks near 1.4x that, parts joined at the end near 2x
+        # the columns hold 18 bytes per record; columns grown in place peak
+        # near 1.4x that, parts joined at the end near 2x
         assert len(back) == 1_000_000
         assert peak <= 1.75 * 18 * len(back)
 
@@ -369,6 +394,27 @@ class TestRecordLayerProperties:
             for s, n in zip(same, counts)]
 
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_selection_of_pieces_matches_whole(self, data):
+        batch = data.draw(_batches())
+        cuts = [0, *sorted(data.draw(st.lists(st.integers(0, len(batch)),
+                                              max_size=4))), len(batch)]
+        pieces = [ClickBatch(*(getattr(batch, col)[a:b]
+                               for col in ("t1", "d1", "tau", "d2")))
+                  for a, b in zip(cuts, cuts[1:])]
+        window = Window(delta=data.draw(st.one_of(st.floats(1e-3, 30.0),
+                                                  st.just(math.inf))),
+                        t1_max=data.draw(st.one_of(st.none(),
+                                                   st.floats(1e-3, 30.0))))
+        whole, joined = Selection.of([batch], window), Selection.of(pieces, window)
+        keep = window.keep(batch)
+        assert joined.seen == whole.seen == len(batch)
+        assert joined.tau.tolist() == whole.tau.tolist() == batch.tau[keep].tolist()
+        assert joined.same.tolist() == whole.same.tolist() == \
+            (batch.d1 == batch.d2)[keep].tolist()
+
+
 def _number(x) -> float:
     if type(x) not in (float, int):
         raise TypeError(f"a record time must be a JSON number, got {x!r}")
@@ -439,3 +485,14 @@ class TestReaderAgainstPerLineReference:
         expected = _outcome(_read_per_line, text)
         with mock.patch.object(trajectories, "_BLOCK", block):
             assert _outcome(read_records, text) == expected
+
+    def test_blocks_stream(self):
+        # each block is yielded before the next is read, so a bad line
+        # raises only when its block is reached
+        with mock.patch.object(trajectories, "_BLOCK", 100):
+            blocks = read_blocks(io.StringIO(_LINE * 10 + "not json\n"))
+            first = next(blocks)
+            assert first == read_records(io.StringIO(_LINE * len(first)))
+            assert 0 < len(first) < 10
+            with pytest.raises(ValueError):
+                list(blocks)
