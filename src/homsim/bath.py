@@ -38,6 +38,8 @@ A ln(sinh(pi tau/theta)/(pi tau/theta)) (ohmic) and A pi^2/(3 theta^2)
 cutoff inside the thermal integrand.  The kernels here keep the cutoff
 exactly and agree with the quadrature to machine precision at all
 temperatures.
+
+scipy.special and scipy.integrate are loaded on first use, not on import.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+import scipy
 
 __all__ = [
     "BathFamily",
@@ -222,12 +224,12 @@ def gamma_quadrature(bath: BathSpec, tau: float) -> DecoherenceValue:
     knees = {2.0 / theta, 40.0 / theta}
     head = sorted({0.0, cut} | {k for k in knees if k < cut})
     tail = sorted({cut, _OMEGA_MAX} | {k for k in knees if cut < k < _OMEGA_MAX})
-    parts = [integrate.quad(full, lo, hi, **_QUAD_OPTS)
+    parts = [scipy.integrate.quad(full, lo, hi, **_QUAD_OPTS)
              for lo, hi in zip(head, head[1:])]
     for lo, hi in zip(tail, tail[1:]):
-        parts.append(integrate.quad(envelope, lo, hi, **_QUAD_OPTS))
-        osc, e = integrate.quad(envelope, lo, hi, weight="cos", wvar=tau,
-                                **_QUAD_OPTS)
+        parts.append(scipy.integrate.quad(envelope, lo, hi, **_QUAD_OPTS))
+        osc, e = scipy.integrate.quad(envelope, lo, hi, weight="cos",
+                                      wvar=tau, **_QUAD_OPTS)
         parts.append((-osc, e))
     value = math.fsum(v for v, _ in parts)
     err = sum(e for _, e in parts)
@@ -241,8 +243,8 @@ def _ohmic_gamma(A, theta, tau):
     a = 1.0 / theta
     vacuum = 0.5 * A * np.log1p(tau * tau)
     # both terms through the complex loggamma, so that tau = 0 gives exactly 0
-    thermal = 2.0 * A * (special.loggamma(1.0 + a + 0j).real
-                         - special.loggamma(1.0 + a + 1j * tau / theta).real)
+    thermal = 2.0 * A * (scipy.special.loggamma(1.0 + a + 0j).real
+                         - scipy.special.loggamma(1.0 + a + 1j * tau / theta).real)
     return vacuum + thermal
 
 
@@ -267,7 +269,8 @@ def _series_gamma(A, n, theta, taus):
     a_tail = 1.0 + _M_DIRECT * theta
     p = s + _ORDER
     a = 1.0 + theta * _ROW_M
-    w = (_ROW_WEIGHT * theta ** _ORDER * special.poch(s, _ORDER) * a ** -p)[:, None]
+    w = (_ROW_WEIGHT * theta ** _ORDER * scipy.special.poch(s, _ORDER)
+         * a ** -p)[:, None]
     p, a = p[:, None], a[:, None]
 
     def block(t):
@@ -284,7 +287,7 @@ def _series_gamma(A, n, theta, taus):
     out = np.empty_like(flat)
     for i in range(0, flat.size, _BLOCK):
         out[i:i + _BLOCK] = block(flat[i:i + _BLOCK])
-    return A * special.gamma(s) * out.reshape(taus.shape)
+    return A * scipy.special.gamma(s) * out.reshape(taus.shape)
 
 
 def gamma_closed_array(bath: BathSpec, taus) -> np.ndarray:
@@ -335,9 +338,9 @@ def _sine_transform(A, n, t):
         return A * w ** (n - 2) * math.exp(-w)
 
     cut = min(1.0, 10.0 / max(t, 1.0))
-    head, e1 = integrate.quad(head_f, 0.0, cut, **_QUAD_OPTS)
-    osc, e2 = integrate.quad(envelope, cut, _OMEGA_MAX,
-                             weight="sin", wvar=t, **_QUAD_OPTS)
+    head, e1 = scipy.integrate.quad(head_f, 0.0, cut, **_QUAD_OPTS)
+    osc, e2 = scipy.integrate.quad(envelope, cut, _OMEGA_MAX,
+                                   weight="sin", wvar=t, **_QUAD_OPTS)
     return head + osc, e1 + e2
 
 
@@ -353,7 +356,7 @@ def lambda_phase(bath: BathSpec, t1: float, t2: float) -> float:
         return 0.0
     A, n = bath.A, bath.n
     tau = t2 - t1
-    total = A * tau * special.gamma(n)
+    total = A * tau * scipy.special.gamma(n)
     err = 0.0
     for coeff, t in ((2.0, t1), (-2.0, t2), (1.0, tau)):
         value, e = _sine_transform(A, n, t)
@@ -374,11 +377,11 @@ def _lambda(bath: BathSpec, t1, t2):
     else:
         def sine(t):
             # Gamma(s) Im (1 - i t)^-s
-            return special.gamma(s) * (1.0 + t * t) ** (-0.5 * s) \
+            return scipy.special.gamma(s) * (1.0 + t * t) ** (-0.5 * s) \
                 * np.sin(s * np.arctan(t))
     tau = t2 - t1
-    return bath.A * (tau * special.gamma(bath.n) + 2 * sine(t1) - 2 * sine(t2)
-                     + sine(tau))
+    return bath.A * (tau * scipy.special.gamma(bath.n) + 2 * sine(t1)
+                     - 2 * sine(t2) + sine(tau))
 
 
 def lambda_phase_closed(bath: BathSpec, t1, t2):

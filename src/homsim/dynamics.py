@@ -103,14 +103,18 @@ def first_click_density(src: SourceConfig, t: float) -> tuple[float, float]:
 def coherence(src: SourceConfig, t1, tau):
     """(exp(-(Gamma_1 + Gamma_2)), phi(t1, t1 + tau)) of click pairs.
 
-    Vectorizes over t1 and tau.  Identical sources have phi = 0.
+    Vectorizes over t1 and tau: both have the broadcast shape of (t1, tau).
+    Identical sources have phi = 0.
     """
     t1, tau = _times(t1, tau)
+    # Gamma depends on tau alone; adding zero broadcasts it against t1
+    zero = np.zeros(np.broadcast(t1, tau).shape)
     g1 = gamma_closed_array(src.bath1, tau)
     if src.identical:
-        return np.exp(-2.0 * g1), np.zeros_like(g1)
+        return np.exp(-2.0 * g1) + zero, zero
     g2 = gamma_closed_array(src.bath2, tau)
-    return np.exp(-(g1 + g2)), phi_phase(src.bath1, src.bath2, t1, t1 + tau)
+    return (np.exp(-(g1 + g2)) + zero,
+            phi_phase(src.bath1, src.bath2, t1, t1 + tau))
 
 
 def coherence_factor(src: SourceConfig, t1, tau):

@@ -8,7 +8,7 @@ imaginary axis at |tau| >= 1 and every decay is exponential, so each
 doubling panel sees its integrand as equally smooth, whatever the scale of
 the bath; the ladder resolves decay rates up to about 1e16.  All windows of
 one call share the ladder through a cumulative sum and add one partial
-panel each.
+panel each.  scipy.special is loaded on first use, not on import.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
+import scipy
 
 from .bath import BathFamily, BathSpec, _scalar_or_array
 from .dynamics import SourceConfig, coherence_factor
@@ -120,7 +120,7 @@ def postselected_visibility(src: SourceConfig, delta):
         raise ValueError(f"window width must be > 0, got {delta}")
     g = src.g
     delta = np.minimum(delta, _WEIGHT_TAIL / g)
-    mass = delta * special.exprel(-g * delta)
+    mass = delta * scipy.special.exprel(-g * delta)
     return _scalar_or_array(
         np.minimum(_window_integrals(src, delta, lambda t: np.exp(-g * t))
                    / mass, 1.0))
@@ -139,9 +139,10 @@ def windowed_visibility_markovian(bath: BathSpec, delta: float) -> float:
     return -math.expm1(-x) / x if x > 0 else 1.0
 
 
-# (1/2)_k / k!, the series of (1 - t)^{-1/2}: 60 terms at t <= 1/2 reach 1e-18
+# (1/2)_k / k! = C(2k, k) / 4^k, correctly rounded, the series of
+# (1 - t)^{-1/2}: 60 terms at t <= 1/2 reach 1e-18
 _K = np.arange(60)
-_HALF_RISING = special.poch(0.5, _K) / special.factorial(_K)
+_HALF_RISING = np.array([math.comb(2 * k, k) / 4 ** k for k in range(_K.size)])
 
 
 def windowed_visibility_ohmic_lowT(bath: BathSpec, delta: float) -> float:
@@ -165,12 +166,13 @@ def windowed_visibility_ohmic_lowT(bath: BathSpec, delta: float) -> float:
     if not 0 < delta < math.inf:
         raise ValueError(f"window width must be finite and > 0, got {delta}")
     x = min(delta, 1.0) ** 2
-    mean = float(special.hyp2f1(0.5, 1.5 - 2.0 * bath.A, 1.5, x / (1.0 + x))
-                 ) / math.sqrt(1.0 + x)
+    mean = float(scipy.special.hyp2f1(0.5, 1.5 - 2.0 * bath.A, 1.5,
+                                      x / (1.0 + x))) / math.sqrt(1.0 + x)
     if delta > 1.0:
         ln_2y = math.log(2.0) - 2.0 * math.log(delta) - math.log1p(delta ** -2.0)
         e = 2.0 * bath.A - 0.5 + _K
-        series = (_HALF_RISING * 0.5 ** e * special.exprel(e * ln_2y)).sum()
+        series = (_HALF_RISING * 0.5 ** e
+                  * scipy.special.exprel(e * ln_2y)).sum()
         # ln_2y / delta first: the series alone reaches 1e305 at A = 0
         mean = mean / delta - 0.5 * (ln_2y / delta) * series
     return min(1.0, mean)
@@ -188,5 +190,6 @@ def superohmic_asymptote(bath: BathSpec) -> float:
     if bath.family is not BathFamily.SUPEROHMIC:
         raise ValueError("superohmic_asymptote needs a superohmic bath")
     theta = bath.theta
-    thermal = 2.0 * float(special.polygamma(1, 1.0 + 1.0 / theta)) / theta ** 2
+    thermal = 2.0 * float(scipy.special.polygamma(1, 1.0 + 1.0 / theta)) \
+        / theta ** 2
     return math.exp(-2.0 * bath.A * (1.0 + thermal))

@@ -376,6 +376,13 @@ def _block_rows(block: str) -> np.ndarray:
     return _line_rows(block.split("\n"))
 
 
+def _row_blocks(fh):
+    """The records of each block of about _BLOCK characters of whole lines,
+    as parsed _RECORD rows whose times are not yet checked."""
+    while block := fh.read(_BLOCK):
+        yield _block_rows(block + fh.readline())
+
+
 def read_blocks(fh):
     """Parse JSONL records a block of about _BLOCK characters of whole lines
     at a time, yielding each block's records as one validated ClickBatch.
@@ -384,16 +391,15 @@ def read_blocks(fh):
     other JSONL line by line.  A bad line raises ValueError, KeyError,
     TypeError, or OverflowError for a number too large for a float.
     """
-    while block := fh.read(_BLOCK):
-        rows = _block_rows(block + fh.readline())
+    for rows in _row_blocks(fh):
         yield ClickBatch(*(rows[col] for col in _COLUMNS))
 
 
 def read_records(fh) -> ClickBatch:
-    """Every record of read_blocks(fh), in one batch, each column grown in
-    place a block at a time."""
+    """Every record of read_blocks(fh), in one batch validated once, each
+    column grown in place a block at a time."""
     cols = [np.empty(0, dtype) for dtype, _ in _RECORD.fields.values()]
-    for batch in read_blocks(fh):
+    for rows in _row_blocks(fh):
         for col, name in zip(cols, _COLUMNS):
-            _extend(col, getattr(batch, name))
+            _extend(col, rows[name])
     return ClickBatch(*cols)

@@ -7,6 +7,8 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from unittest import mock
@@ -535,6 +537,50 @@ class TestStreaming:
         (sim_small, ana_small), (sim_large, ana_large) = peaks
         assert abs(sim_large - sim_small) <= 2 << 20
         assert abs(ana_large - ana_small) <= 2 << 20
+
+
+# Run in a fresh interpreter, so that no earlier import in the test session
+# counts: prints the scipy submodules loaded after each step.
+_COLD_START = """
+import json, sys
+import homsim
+from homsim import cli
+
+def loaded():
+    return [m for m in ("scipy.special", "scipy.integrate") if m in sys.modules]
+
+steps = {"import": loaded()}
+for name, argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, name
+    steps[name] = loaded()
+print(json.dumps(steps))
+"""
+
+
+class TestColdStart:
+    def test_scipy_loaded_only_when_a_kernel_needs_it(self, tmp_path):
+        records = str(tmp_path / "r.jsonl")
+        steps = [
+            ("simulate", ["simulate", *_MARKOV_ARGS, "--n", "5000", "--seed",
+                          "1", "--out", records]),
+            ("analyze", ["analyze", "--records", records, "--delta", "1",
+                         "--bins", "4", "--bins-out", str(tmp_path / "b.csv")]),
+            ("fig1", ["fig1", "--points", "5", "--out", str(tmp_path / "f.csv")]),
+            ("gamma", ["gamma", "--points", "3", "--out",
+                       str(tmp_path / "g.csv")]),
+        ]
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", _COLD_START,
+                               json.dumps(steps)], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert loaded["import"] == []
+        assert loaded["simulate"] == loaded["analyze"] == []
+        assert loaded["fig1"] == ["scipy.special"]
+        # gamma's quadrature column shows that the check sees a load
+        assert loaded["gamma"] == ["scipy.special", "scipy.integrate"]
 
 
 _ANY_FLOAT = st.one_of(st.floats(), st.floats(-1.0, 100.0), st.sampled_from(

@@ -12,8 +12,10 @@ from homsim.dynamics import (ConditionalState, Detector, SourceConfig,
                              coherence, coherence_factor, conditional_state,
                              first_click_density, second_click_density,
                              survival_probability)
+from homsim.interference import visibility_nonidentical
 
 OHMIC = BathSpec(BathFamily.OHMIC, 0.5, 10.0)
+SUPER = BathSpec(BathFamily.SUPEROHMIC, 0.25, 10.0)
 MARKOV = BathSpec(BathFamily.MARKOVIAN, 0.5, 10.0)
 SRC = SourceConfig.identical_sources(0.01, OHMIC)
 SRC_M = SourceConfig.identical_sources(0.01, MARKOV)
@@ -55,6 +57,22 @@ class TestCoherence:
                 math.exp(-(gamma_value(b1, tau) + gamma_value(b2, tau))),
                 rel=1e-14)
             assert phi[i] == phi_phase(b1, b2, t1, t1 + tau)
+
+    @pytest.mark.parametrize("src", [
+        SRC, SourceConfig(g=0.01, bath1=OHMIC, bath2=SUPER, identical=False)],
+        ids=["identical", "pair"])
+    def test_broadcast_shape(self, src):
+        # a (3, 1) x (1, 4) call gives (3, 4) arrays equal to the flat call
+        t1, tau = np.array([[0.0], [2.0], [30.0]]), np.array([[0.0, 0.5, 3.0, 12.0]])
+        flat = np.broadcast_arrays(t1, tau)
+        outputs = [*coherence(src, t1, tau), coherence_factor(src, t1, tau),
+                   visibility_nonidentical(src, t1, tau)]
+        expected = [*coherence(src, *(a.ravel() for a in flat)),
+                    coherence_factor(src, *(a.ravel() for a in flat)),
+                    visibility_nonidentical(src, *(a.ravel() for a in flat))]
+        for out, ref in zip(outputs, expected):
+            assert out.shape == (3, 4)
+            np.testing.assert_array_equal(out.ravel(), ref)
 
     # a Markovian bath is a pure rate law: no polaron shift, so no phase
     _T1S, _TAUS = np.array([0.0, 1.0, 40.0, 3.0]), np.array([0.0, 2.5, 7.0, 300.0])

@@ -2,6 +2,7 @@
 
 import csv
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
-from homsim import cli
+from homsim import cli, interference
 from homsim.bath import BathFamily, BathSpec, phi_phase
 from homsim.dynamics import SourceConfig, second_click_density
 from homsim.interference import (postselected_visibility,
@@ -307,6 +308,11 @@ class TestWindowedOhmicLowTRange:
     def test_rejects_bad_window(self, delta):
         with pytest.raises(ValueError, match="finite and > 0"):
             windowed_visibility_ohmic_lowT(OHMIC, delta)
+
+    def test_series_coefficients_correctly_rounded(self):
+        # (1/2)_k / k! = C(2k, k) / 4^k, the Delta > 1 branch's coefficients
+        assert interference._HALF_RISING.tolist() == [
+            float(Fraction(math.comb(2 * k, k), 4 ** k)) for k in range(60)]
 
     def test_continuous_at_unit_window(self):
         # the two forms meet at Delta = 1

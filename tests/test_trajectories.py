@@ -481,10 +481,25 @@ class TestReaderAgainstPerLineReference:
     @example(text='{"t1": 1%s, "d1": "+", "tau": 1.0, "d2": "+"}\n'
                   '{"t1": 1e, "d1": "+", "tau": 1.0, "d2": "+"}\n' % ("0" * 400),
              block=1000)
+    # a bad time in an early block, a missing field in a later one: the
+    # reference parses every line before it checks a time
+    @example(text=_LINE.replace("0.5", "-0.5") + _LINE * 3 + '{"t1": 0.5}\n',
+             block=8)
     def test_equal_batch_or_same_error(self, text, block):
         expected = _outcome(_read_per_line, text)
         with mock.patch.object(trajectories, "_BLOCK", block):
             assert _outcome(read_records, text) == expected
+
+    def test_records_validated_once(self):
+        # read_records checks the joined rows once, not each block again
+        text = _LINE * 10
+        with mock.patch.object(trajectories, "_BLOCK", 100), \
+                mock.patch.object(trajectories, "_times",
+                                  wraps=trajectories._times) as times:
+            assert len(list(read_blocks(io.StringIO(text)))) > 1
+            times.reset_mock()
+            assert len(read_records(io.StringIO(text))) == 10
+        assert times.call_count == 1
 
     def test_blocks_stream(self):
         # each block is yielded before the next is read, so a bad line
