@@ -190,11 +190,11 @@ def cmd_analyze(args) -> int:
     if args.bins < 0:
         raise UsageError(f"--bins must be >= 0, got {args.bins}")
     # the file is post-selected a block at a time: only the retained records'
-    # tau and same-detector flag are kept
+    # counts are kept, and their tau and same-detector flag if --bins needs them
     try:
         with open(args.records) as fh:
             selection = trajectories.Selection.of(
-                trajectories.read_blocks(fh), window)
+                trajectories.read_blocks(fh), window, columns=args.bins > 0)
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise _IOFailure(f"malformed record file: {exc!r}") from exc
 

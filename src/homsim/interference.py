@@ -143,6 +143,11 @@ def windowed_visibility_markovian(bath: BathSpec, delta: float) -> float:
 # (1 - t)^{-1/2}: 60 terms at t <= 1/2 reach 1e-18
 _K = np.arange(60)
 _HALF_RISING = np.array([math.comb(2 * k, k) / 4 ** k for k in range(_K.size)])
+# (1 + v^2)^{-2A} < e^{-60} once A ln(1 + v^2) > 30, so the integral stops
+# there; below, the terms of the Pfaff series peak before k = 90, and by
+# k = 400 they are under 1e-48 of the peak
+_LOWT_TAIL = 30.0
+_PFAFF_K = np.arange(400)
 
 
 def windowed_visibility_ohmic_lowT(bath: BathSpec, delta: float) -> float:
@@ -154,27 +159,37 @@ def windowed_visibility_ohmic_lowT(bath: BathSpec, delta: float) -> float:
     is (1 + tau^2)^{-A}, so this equals the zero-temperature nu'(Delta) of
     windowed_visibility() at coupling 2A, not A.
 
-    Up to v = min(Delta, 1) the integral is a 2F1 at argument <= 1/2 (Pfaff
-    form).  Past v = 1, t = 1/(1 + v^2) makes the rest (1/2) int_y^{1/2}
-    t^{e-1} (1 - t)^{-1/2} dt, e = 2A - 1/2, y = 1/(1 + Delta^2), summed by
-    the binomial series with each ((1/2)^e - y^e)/e as -(1/2)^e L exprel(e L),
-    L = ln 2y: A = 1/4 needs no branch, Delta^2 is never formed, and every
-    finite Delta > 0 gives a finite value in [0, 1].
+    Up to v = min(Delta, 1) the integral is v 2F1(1/2, 2A; 3/2; -x), x = v^2,
+    summed in the Pfaff form (1 + x)^{-2A} sum_k (2A)_k / (3/2)_k z^k,
+    z = x / (1 + x) <= 1/2, whose terms are all positive, so no digits
+    cancel at large A; v stops where (1 + v^2)^{-2A} = e^{-60}.  Past v = 1,
+    t = 1/(1 + v^2) makes the rest (1/2) int_y^{1/2} t^{e-1} (1 - t)^{-1/2}
+    dt, e = 2A - 1/2, y = 1/(1 + Delta^2), summed by the binomial series
+    with each ((1/2)^e - y^e)/e as -(1/2)^e L exprel(e L), L = ln 2y: A = 1/4
+    needs no branch, Delta^2 is never formed, and every finite Delta > 0
+    gives a finite value in [0, 1].
     """
     if bath.family is not BathFamily.OHMIC:
         raise ValueError("windowed_visibility_ohmic_lowT needs an ohmic bath")
     if not 0 < delta < math.inf:
         raise ValueError(f"window width must be finite and > 0, got {delta}")
-    x = min(delta, 1.0) ** 2
-    mean = float(scipy.special.hyp2f1(0.5, 1.5 - 2.0 * bath.A, 1.5,
-                                      x / (1.0 + x))) / math.sqrt(1.0 + x)
+    A = bath.A
+    v = min(delta, 1.0)
+    if A * math.log1p(v * v) > _LOWT_TAIL:
+        v = math.sqrt(math.expm1(_LOWT_TAIL / A))
+    x = v * v
+    z = x / (1.0 + x)
+    # the term ratios (2A + k) z / (k + 3/2); 2A would overflow at A > 9e307
+    k = _PFAFF_K[:-1]
+    terms = np.cumprod(np.r_[1.0, (A + k / 2) * (2.0 * z) / (k + 1.5)])
+    mean = v * math.exp(-2.0 * (A * math.log1p(x))) * float(terms.sum()) / delta
     if delta > 1.0:
         ln_2y = math.log(2.0) - 2.0 * math.log(delta) - math.log1p(delta ** -2.0)
-        e = 2.0 * bath.A - 0.5 + _K
-        series = (_HALF_RISING * 0.5 ** e
-                  * scipy.special.exprel(e * ln_2y)).sum()
+        e = 2.0 * A - 0.5 + _K
+        series = float((_HALF_RISING * 0.5 ** e
+                        * scipy.special.exprel(e * ln_2y)).sum())
         # ln_2y / delta first: the series alone reaches 1e305 at A = 0
-        mean = mean / delta - 0.5 * (ln_2y / delta) * series
+        mean -= 0.5 * (ln_2y / delta) * series
     return min(1.0, mean)
 
 

@@ -10,9 +10,12 @@ Records are generated in fixed-size chunks, each from its own counter-based
 substream spawned off the ensemble seed, so the output is a pure function of
 (seed, n, source).  Records are held as columns, in a ClickBatch.  Both ends
 of the record file stream: simulate_chunks draws a chunk at a time and
-read_blocks parses a block at a time, and a Selection keeps of each batch
-only what the estimators need, so a pipeline built from them holds a chunk
-or a block, plus 9 bytes per retained record, at once.
+read_blocks parses a block of about 256 KiB at a time, and a Selection keeps
+of each batch only what the estimators need: the counts, plus 9 bytes per
+retained record when tau bins are asked for.  So a pipeline built from them
+holds a chunk or a block at once, plus those 9 bytes per record.  A block in
+the layout write_records lays out is blanked down to its times, with one
+bytes.translate and a few fixed-offset writes, and parsed by one json.loads.
 """
 
 from __future__ import annotations
@@ -46,6 +49,8 @@ __all__ = [
 ]
 
 CHUNK_SIZE = 4096
+# kept records histogrammed at a time by Selection.binned
+_BIN_SLICE = 1 << 16
 _Z95 = 1.959963984540054
 
 
@@ -233,26 +238,35 @@ class BinnedVisibility:
 class Selection:
     """What the estimators need of the records a window keeps.
 
-    ``seen`` counts every record offered to the window; ``tau`` (float64)
-    and ``same`` (bool: the second click repeats the first detector) hold
-    one entry per record kept, 9 bytes in all.
+    ``seen`` counts every record offered to the window, ``kept`` those it
+    keeps and ``n_same`` those kept whose second click repeats the first
+    detector.  ``tau`` (float64) and ``same`` (bool) hold one entry per
+    record kept, 9 bytes in all, which binned() needs; they are None when
+    only the counts were kept.
     """
 
     seen: int
-    tau: np.ndarray
-    same: np.ndarray
+    kept: int
+    n_same: int
+    tau: np.ndarray | None = None
+    same: np.ndarray | None = None
 
     @classmethod
-    def of(cls, batches, window: Window) -> "Selection":
+    def of(cls, batches, window: Window, columns: bool = True) -> "Selection":
         """Post-select an iterable of ClickBatch one batch at a time, the
-        kept columns grown in place."""
-        seen, tau, same = 0, np.empty(0), np.empty(0, bool)
+        kept columns, if ``columns``, grown in place."""
+        seen = kept = n_same = 0
+        tau, same = (np.empty(0), np.empty(0, bool)) if columns else (None, None)
         for batch in batches:
             keep = window.keep(batch)
+            is_same = (batch.d1 == batch.d2)[keep]
             seen += len(batch)
-            _extend(tau, batch.tau[keep])
-            _extend(same, (batch.d1 == batch.d2)[keep])
-        return cls(seen, tau, same)
+            kept += is_same.size
+            n_same += int(np.count_nonzero(is_same))
+            if columns:
+                _extend(tau, batch.tau[keep])
+                _extend(same, is_same)
+        return cls(seen, kept, n_same, tau, same)
 
     def estimate(self, window: Window) -> VisibilityEstimate:
         """Visibility of the kept records with a 95% score interval.
@@ -261,28 +275,35 @@ class Selection:
         were kept by, when none was kept, which is a different outcome from
         an estimate of zero.
         """
-        kept = self.tau.size
-        if kept == 0:
+        if self.kept == 0:
             raise EmptySelectionError(
                 f"no records inside window {window} (out of {self.seen})")
-        n_same = int(np.count_nonzero(self.same))
-        nu_hat, ci_low, ci_high = map(float, _visibilities(n_same, kept))
+        nu_hat, ci_low, ci_high = map(float, _visibilities(self.n_same, self.kept))
         return VisibilityEstimate(
-            n_same=n_same, n_diff=kept - n_same, nu_hat=nu_hat,
-            ci_low=ci_low, ci_high=ci_high, efficiency=kept / self.seen)
+            n_same=self.n_same, n_diff=self.kept - self.n_same, nu_hat=nu_hat,
+            ci_low=ci_low, ci_high=ci_high, efficiency=self.kept / self.seen)
 
     def binned(self, bin_edges) -> BinnedVisibility:
         """Visibility of the kept records grouped by tau into the given bins."""
+        if self.tau is None:
+            raise ValueError("binned() needs the kept columns; this selection "
+                             "kept only counts")
         edges = np.asarray(bin_edges, dtype=float)
         if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0):
             raise ValueError("bin_edges must be strictly increasing with >= 2 entries")
-        # np.histogram sorts what it is given, so the records outside every
-        # bin go first; bins are half-open [a, b), the last one closed [a, b]
-        inside = (edges[0] <= self.tau) & (self.tau <= edges[-1])
-        tau, same = ((self.tau, self.same) if inside.all()
-                     else (self.tau[inside], self.same[inside]))
-        counts = np.histogram(tau, edges)[0]
-        n_same = np.histogram(tau[same], edges)[0]
+        # a slice of the kept records at a time, so that no whole column is
+        # copied; np.histogram sorts what it is given, so the records outside
+        # every bin are dropped first; bins are half-open [a, b), the last
+        # one closed [a, b]
+        counts, n_same = np.zeros((2, edges.size - 1), np.intp)
+        for start in range(0, self.tau.size, _BIN_SLICE):
+            tau = self.tau[start:start + _BIN_SLICE]
+            same = self.same[start:start + _BIN_SLICE]
+            inside = (edges[0] <= tau) & (tau <= edges[-1])
+            if not inside.all():
+                tau, same = tau[inside], same[inside]
+            counts += np.histogram(tau, edges)[0]
+            n_same += np.histogram(tau[same], edges)[0]
         # an empty bin has no estimate; n = 1 there only keeps the arithmetic finite
         nu_hat, ci_low, ci_high = (
             tuple(np.where(counts > 0, col, None).tolist())
@@ -296,14 +317,16 @@ def estimate_visibility(records, window: Window) -> VisibilityEstimate:
     Raises EmptySelectionError when nothing survives the window, which is a
     different outcome from an estimate of zero.
     """
-    return Selection.of([ClickBatch.of(records)], window).estimate(window)
+    return Selection.of([ClickBatch.of(records)], window,
+                        columns=False).estimate(window)
 
 
 def binned_visibility(records, bin_edges) -> BinnedVisibility:
     """Empirical visibility of records grouped by tau into the given bins."""
     batch = ClickBatch.of(records)
-    return Selection(len(batch), batch.tau,
-                     batch.d1 == batch.d2).binned(bin_edges)
+    same = batch.d1 == batch.d2
+    return Selection(len(batch), len(batch), int(np.count_nonzero(same)),
+                     batch.tau, same).binned(bin_edges)
 
 
 def write_records(fh, records) -> None:
@@ -332,35 +355,40 @@ def _line_rows(lines) -> np.ndarray:
 
 
 # characters read at a time, then completed to a whole line
-_BLOCK = 1 << 20
+_BLOCK = 1 << 18
 # lines exactly as write_records lays them out, each time a run of the
 # characters a JSON number can hold; the times are checked by json.loads
 _LAYOUT = re.compile(r'(?:\{"t1": [-+.0-9eE]+, "d1": "[+-]", '
                      r'"tau": [-+.0-9eE]+, "d2": "[+-]"\}\n)*')
+# the layout's braces, quotes, colons, newlines and key letters, each to a
+# space; no time holds any of them
+_BLANK = bytes.maketrans(b'{}":tdau\n', b" " * 9)
 
 
 def _layout_rows(block: str) -> np.ndarray:
     """Records of a block that _LAYOUT matches, with one json.loads in all.
 
-    Each line holds three commas, which end t1, d1 and tau; the times start
-    7 characters into the line and 9 past the second comma, and each sign
-    sits 9 past the comma before it.  The times are cut out as "t1,tau,..."
-    and parsed as one JSON array, so JSON's number grammar still applies.
+    Each line holds three commas, c0, c1 = c0 + 11 and c2, which end t1,
+    d1 and tau; each sign sits 9 past the comma before it.  The block is
+    blanked down to its times: _BLANK turns the keys' letters, the quotes,
+    braces, colons and newlines into spaces, then fixed-offset writes blank
+    the key digits (3 into each line, 4 past c0 and c2), the signs and c1.
+    What is left, "t1, tau, t1, ..., tau" amid whitespace, is bracketed in
+    place of the first key digit and the last c2 and parsed as one JSON
+    array, so JSON's number grammar still applies.
     """
-    buf = np.frombuffer(block.encode("ascii"), np.uint8)
+    text = bytearray(block, "ascii").translate(_BLANK)
+    buf = np.frombuffer(text, np.uint8)
     comma = np.flatnonzero(buf == ord(",")).reshape(-1, 3)
-    line = np.r_[0, np.flatnonzero(buf == ord("\n"))[:-1] + 1]
-    # +1 where a time starts, -1 just past the comma that ends it
-    edge = np.zeros(buf.size, np.int8)
-    edge[line + 7] = 1
-    edge[comma[:, 1] + 9] = 1
-    edge[comma[:, 0::2] + 1] = -1
-    times = buf[np.cumsum(edge, dtype=np.int8) > 0][:-1].tobytes()
-    times = json.loads(b"[" + times + b"]")
+    c0, c2 = comma[:, 0], comma[:, 2]
     rows = np.empty(len(comma), _RECORD)
+    rows["d1"] = buf[c0 + 9] == ord("-")
+    rows["d2"] = buf[c2 + 9] == ord("-")
+    for at in (c2[:-1] + 16, c0 + 4, c2 + 4, c0 + 9, c2 + 9, c0 + 11):
+        buf[at] = ord(" ")
+    buf[3], buf[c2[-1]] = ord("["), ord("]")
+    times = json.loads(text)
     rows["t1"], rows["tau"] = times[0::2], times[1::2]
-    rows["d1"] = buf[comma[:, 0] + 9] == ord("-")
-    rows["d2"] = buf[comma[:, 2] + 9] == ord("-")
     return rows
 
 

@@ -583,6 +583,55 @@ class TestColdStart:
         assert loaded["gamma"] == ["scipy.special", "scipy.integrate"]
 
 
+# Run one command as the child of a small, fresh interpreter: prints its
+# exit code and peak RSS in bytes (getrusage gives KiB on Linux, bytes on
+# macOS).  A process's ru_maxrss starts at that of the process it was forked
+# from, which the pytest process would set.
+_PEAK_RSS = """
+import os, sys
+pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "homsim.cli",
+                                      *sys.argv[1:]], os.environ)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status),
+      usage.ru_maxrss * (1 if sys.platform == "darwin" else 1024))
+"""
+
+
+class TestPeakMemory:
+    def test_peak_rss_bounded_by_block(self, tmp_path):
+        # simulate holds a chunk; analyze holds a block, plus 9 bytes per
+        # retained record only when --bins needs them
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+
+        def peak(*argv):
+            proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, *argv],
+                                  env=env, cwd=tmp_path, capture_output=True,
+                                  text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            code, rss = proc.stdout.splitlines()[-1].split()
+            assert int(code) == cli.EXIT_OK
+            return int(rss)
+
+        sizes = (100_000, 400_000)
+        peaks = {}
+        for n in sizes:
+            rec = str(tmp_path / f"r{n}.jsonl")
+            peaks["simulate", n] = peak("simulate", *_MARKOV_ARGS, "--n", str(n),
+                                        "--seed", "6", "--out", rec)
+            for delta in ("1", "inf"):
+                peaks[delta, n] = peak("analyze", "--records", rec, "--delta",
+                                       delta)
+            peaks["bins", n] = peak("analyze", "--records", rec, "--delta",
+                                    "inf", "--bins", "20", "--bins-out",
+                                    str(tmp_path / "b.csv"))
+        small, large = sizes
+        growth = {key: peaks[key, large] - peaks[key, small]
+                  for key in ("simulate", "1", "inf", "bins")}
+        assert max(growth["simulate"], growth["1"], growth["inf"]) <= 2e6, growth
+        assert growth["bins"] <= 9 * (large - small) + 2e6, growth
+
+
 _ANY_FLOAT = st.one_of(st.floats(), st.floats(-1.0, 100.0), st.sampled_from(
     [math.nan, math.inf, -math.inf, -1.0, 0.0, 0.5, 2.5, 1e-300, 1e300]))
 _GRID_FLAGS = {"fig1": ("--tau-max",), "visibility": ("--tau-max",),

@@ -1,6 +1,7 @@
 """Visibility functions and their closed-form cross-checks."""
 
 import csv
+import decimal
 import math
 from fractions import Fraction
 
@@ -286,7 +287,34 @@ _LOWT_ELEMENTARY = {
 }
 
 
+def _lowt_reduction(n: int, d: float) -> float:
+    """(1/d) int_0^d (1 + v^2)^{-n} dv for a whole n >= 1, by the reduction
+    I_{k+1} = (2k - 1)/(2k) I_k + d / (2k (1 + d^2)^k) from I_1 = atan d.
+
+    Every term is positive, and all but atan d is carried to 50 digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        dd = decimal.Decimal(d)
+        q = 1 / (1 + dd * dd)
+        power, integral = decimal.Decimal(1), decimal.Decimal(math.atan(d))
+        for k in range(1, n):
+            power *= q
+            integral = ((2 * k - 1) * integral + dd * power) / (2 * k)
+        return float(integral / dd)
+
+
 class TestWindowedOhmicLowTRange:
+    # 2A = 200 and 2000, where the Delta <= 1 part taken as scipy's
+    # hyp2f1(1/2, 3/2 - 2A; 3/2; z), the other Pfaff form, was off by up to
+    # 6e-11
+    @pytest.mark.parametrize("A", [100, 1000])
+    @pytest.mark.parametrize("delta", [1e-3, 0.01, 0.1, 0.5, 1.0, 2.0, 1e3,
+                                       1e300])
+    def test_large_coupling_matches_reduction(self, A, delta):
+        bath = BathSpec(BathFamily.OHMIC, float(A), 10.0)
+        assert windowed_visibility_ohmic_lowT(bath, delta) == pytest.approx(
+            _lowt_reduction(2 * A, delta), rel=1e-13, abs=0)
+
     @pytest.mark.parametrize("A", sorted(_LOWT_ELEMENTARY))
     @pytest.mark.parametrize("delta", [1e-3, 1.0, 1e3, 1e6, 1e7, 1e154,
                                        1e155, 1e300])

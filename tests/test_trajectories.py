@@ -433,7 +433,8 @@ def _read_per_line(fh) -> ClickBatch:
     return ClickBatch(*zip(*rows)) if rows else ClickBatch([], [], [], [])
 
 
-_EDIT_TOKENS = [*'0123456789.eE+-,"{}: \n\r\t\u2028', "NaN", "Infinity",
+# the characters of the layout, those _BLANK turns into spaces among them
+_EDIT_TOKENS = [*'0123456789.eE+-,"{}: tdau\n\r\t\u2028', "NaN", "Infinity",
                 "1" + "0" * 400]
 
 
@@ -475,6 +476,13 @@ class TestReaderAgainstPerLineReference:
     @example(text='{"t1": 0, "d1": "+", "tau": 3, "d2": "-"}\n' + _LINE,
              block=100)
     @example(text='{"t1": 1E-5, "d1": "-", "tau": 2e+3, "d2": "+"}\n', block=8)
+    # one line, the whole file, in one block in the layout
+    @example(text=_LINE, block=100)
+    # the smallest subnormal, a time json.dumps writes with an exponent, and
+    # the largest float
+    @example(text='{"t1": 5e-324, "d1": "-", "tau": 1e-05, "d2": "+"}\n'
+                  '{"t1": 1.7976931348623157e+308, "d1": "+", "tau": 5e-324, '
+                  '"d2": "-"}\n', block=1000)
     @example(text=_LINE + '{"t1": 0.5, "d1": "+", "tau": 1.25, "d2": "-", '
                           '"x": "a\u2028b"}\n' + _LINE, block=8)
     # a too-large integer, then a bad number, in one block in the layout
