@@ -86,6 +86,8 @@ _ROW_WEIGHT = np.r_[1.0, np.full(_M_DIRECT - 1, 2.0), 1.0,
                     1 / 6, -1 / 360, 1 / 15120, -1 / 604800, 1 / 23950080]
 # tau values per evaluation block, which bounds the kernel's memory
 _BLOCK = 512
+# the largest x >= 0 whose x * x is finite
+_SQRT_MAX = math.sqrt(np.finfo(float).max)
 
 
 class QuadratureError(RuntimeError):
@@ -193,6 +195,20 @@ def _require_integrable(bath: BathSpec, op: str):
             f"{op}: integral diverges for spectral exponent n = {bath.n} < 1")
 
 
+def _quad(f, lo, hi, **weight):
+    """scipy.integrate.quad of f over [lo, hi] to _QUAD_OPTS.
+
+    QUADPACK's rule for a fast oscillation takes f at the left end of a
+    subinterval [a, b] as (a + b)/2 - (b - a)/2, which is 0 once a > 0 is
+    below half an ulp of b.  For n < 2 the integrands have no value at
+    w = 0; that ends as a QuadratureError.
+    """
+    try:
+        return scipy.integrate.quad(f, lo, hi, **weight, **_QUAD_OPTS)
+    except ZeroDivisionError as exc:
+        raise QuadratureError(f"quadrature node at w = 0: {exc}") from exc
+
+
 def gamma_quadrature(bath: BathSpec, tau: float) -> DecoherenceValue:
     """Decoherence function by adaptive quadrature over (0, inf).
 
@@ -224,12 +240,10 @@ def gamma_quadrature(bath: BathSpec, tau: float) -> DecoherenceValue:
     knees = {2.0 / theta, 40.0 / theta}
     head = sorted({0.0, cut} | {k for k in knees if k < cut})
     tail = sorted({cut, _OMEGA_MAX} | {k for k in knees if cut < k < _OMEGA_MAX})
-    parts = [scipy.integrate.quad(full, lo, hi, **_QUAD_OPTS)
-             for lo, hi in zip(head, head[1:])]
+    parts = [_quad(full, lo, hi) for lo, hi in zip(head, head[1:])]
     for lo, hi in zip(tail, tail[1:]):
-        parts.append(scipy.integrate.quad(envelope, lo, hi, **_QUAD_OPTS))
-        osc, e = scipy.integrate.quad(envelope, lo, hi, weight="cos",
-                                      wvar=tau, **_QUAD_OPTS)
+        parts.append(_quad(envelope, lo, hi))
+        osc, e = _quad(envelope, lo, hi, weight="cos", wvar=tau)
         parts.append((-osc, e))
     value = math.fsum(v for v, _ in parts)
     err = sum(e for _, e in parts)
@@ -239,9 +253,19 @@ def gamma_quadrature(bath: BathSpec, tau: float) -> DecoherenceValue:
     return DecoherenceValue(max(value, 0.0), GammaMethod.QUADRATURE, err)
 
 
+def _log1p_sq(x):
+    """ln(1 + x^2) of x >= 0: log1p(x * x) wherever x * x is finite, and
+    2 ln x, the same value to double precision, where it would overflow."""
+    big = x > _SQRT_MAX
+    if not big.any():
+        return np.log1p(x * x)
+    with np.errstate(over="ignore", divide="ignore"):
+        return np.where(big, 2.0 * np.log(x), np.log1p(x * x))
+
+
 def _ohmic_gamma(A, theta, tau):
     a = 1.0 / theta
-    vacuum = 0.5 * A * np.log1p(tau * tau)
+    vacuum = 0.5 * A * _log1p_sq(tau)
     # both terms through the complex loggamma, so that tau = 0 gives exactly 0
     thermal = 2.0 * A * (scipy.special.loggamma(1.0 + a + 0j).real
                          - scipy.special.loggamma(1.0 + a + 1j * tau / theta).real)
@@ -254,7 +278,7 @@ def _rel_gap(p, x):
     With u = (1 + x^2)^(-p/2) and phi = atan x this is
     (1 - u) + 2 u sin^2(p phi / 2); both terms are >= 0 for p > 0.
     """
-    one_minus_u = -np.expm1(-0.5 * p * np.log1p(x * x))
+    one_minus_u = -np.expm1(-0.5 * p * _log1p_sq(x))
     half_turn = np.sin(0.5 * p * np.arctan(x))
     return one_minus_u + 2.0 * (1.0 - one_minus_u) * half_turn * half_turn
 
@@ -277,7 +301,7 @@ def _series_gamma(A, n, theta, taus):
         # the tail's integral, (2/theta) int_{a_M}^inf (a^-s - Re(a+it)^-s) da
         x = t / a_tail
         if s == 1.0:
-            integral = np.log1p(x * x) / theta
+            integral = _log1p_sq(x) / theta
         else:
             integral = 2.0 * a_tail ** (1.0 - s) * _rel_gap(s - 1.0, x) \
                 / (theta * (s - 1.0))
@@ -338,9 +362,8 @@ def _sine_transform(A, n, t):
         return A * w ** (n - 2) * math.exp(-w)
 
     cut = min(1.0, 10.0 / max(t, 1.0))
-    head, e1 = scipy.integrate.quad(head_f, 0.0, cut, **_QUAD_OPTS)
-    osc, e2 = scipy.integrate.quad(envelope, cut, _OMEGA_MAX,
-                                   weight="sin", wvar=t, **_QUAD_OPTS)
+    head, e1 = _quad(head_f, 0.0, cut)
+    osc, e2 = _quad(envelope, cut, _OMEGA_MAX, weight="sin", wvar=t)
     return head + osc, e1 + e2
 
 

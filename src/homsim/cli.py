@@ -195,7 +195,8 @@ def cmd_analyze(args) -> int:
         with open(args.records) as fh:
             selection = trajectories.Selection.of(
                 trajectories.read_blocks(fh), window, columns=args.bins > 0)
-    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError,
+            RecursionError) as exc:
         raise _IOFailure(f"malformed record file: {exc!r}") from exc
 
     est = selection.estimate(window)

@@ -42,7 +42,6 @@ __all__ = [
     "estimate_visibility",
     "read_blocks",
     "read_records",
-    "sample_record",
     "simulate_chunks",
     "simulate_ensemble",
     "write_records",
@@ -165,11 +164,6 @@ def _draw(rng: np.random.Generator, src: SourceConfig, m: int) -> ClickBatch:
     tau = rng.exponential(1.0 / src.g, size=m)
     same = rng.random(size=m) < 0.5 * (1.0 + coherence_factor(src, t1, tau))
     return ClickBatch(t1, d1, tau, np.where(same, d1, 1 - d1))
-
-
-def sample_record(rng: np.random.Generator, src: SourceConfig) -> ClickRecord:
-    """Draw one two-photon click record from the exact densities."""
-    return next(iter(_draw(rng, src, 1)))
 
 
 def simulate_chunks(seed: int, n: int, src: SourceConfig):
@@ -417,7 +411,8 @@ def read_blocks(fh):
 
     Blocks in write_records' layout are parsed with one json.loads each, any
     other JSONL line by line.  A bad line raises ValueError, KeyError,
-    TypeError, or OverflowError for a number too large for a float.
+    TypeError, OverflowError for a number too large for a float, or
+    RecursionError for JSON nested too deeply.
     """
     for rows in _row_blocks(fh):
         yield ClickBatch(*(rows[col] for col in _COLUMNS))

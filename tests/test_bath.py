@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from homsim.bath import (BathFamily, BathSpec, DecoherenceValue, GammaMethod,
-                         gamma_closed, gamma_closed_array, gamma_quadrature,
-                         gamma_value, lambda_phase, lambda_phase_closed,
-                         phi_phase, spectral_density)
+                         QuadratureError, gamma_closed, gamma_closed_array,
+                         gamma_quadrature, gamma_value, lambda_phase,
+                         lambda_phase_closed, phi_phase, spectral_density)
 from homsim.dynamics import (SourceConfig, coherence, coherence_factor,
                              conditional_state, first_click_density,
                              second_click_density, survival_probability)
@@ -115,6 +116,17 @@ class TestGammaQuadrature:
             assert abs(closed - quad.gamma_big) <= quad.est_abs_error + 1e-14, \
                 f"tau={tau}"
 
+    # the oscillatory panels from 10/tau then put a node at w = 0, where
+    # w^(n - 2) has no value for n < 2
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("n", [1.0, 1.5])
+    @pytest.mark.parametrize("oracle", [
+        lambda bath: gamma_quadrature(bath, 1e18),
+        lambda bath: lambda_phase(bath, 0.0, 1e18)], ids=["gamma", "lambda"])
+    def test_node_at_zero_is_quadrature_error(self, oracle, n):
+        with pytest.raises(QuadratureError, match="w = 0"):
+            oracle(BathSpec(BathFamily.POWER_LAW, 0.5, 10.0, n=n))
+
     def test_powerlaw_general_exponent(self):
         # n = 2 sits between the closed-form families; sanity-bracket it
         bath2 = BathSpec(BathFamily.POWER_LAW, 0.5, 10.0, n=2.0)
@@ -198,6 +210,31 @@ class TestGammaClosed:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(FloatingPointError, match="overflows"):
             gamma_value(bath, tau)
+
+    @pytest.mark.parametrize("tau", [1e150, 1e155, 1e200, 1e300])
+    @pytest.mark.parametrize("n", [1.0, 2.0, 2.5, 3.0])
+    def test_finite_beyond_squared_overflow(self, n, tau):
+        # tau^2 overflows from tau = 1.34e154, Gamma does not; the limits at
+        # A = 0.5, theta = 10, to which every neglected term adds < 1e-75
+        A, theta = 0.5, 10.0
+        if n == 1.0:
+            # Stirling for the log-gamma form: the thermal part A pi tau / theta
+            a = 1.0 / theta
+            limit = A * (math.pi * tau / theta + math.log(tau)
+                         + 2.0 * (special.loggamma(1.0 + a)
+                                  - (0.5 + a) * math.log(tau / theta)
+                                  - 0.5 * math.log(2.0 * math.pi)))
+        elif n == 2.0:
+            # the series summed by the digamma function grows as ln tau
+            limit = A * (2.0 / theta * (math.log(tau / theta)
+                                        - special.digamma(1.0 / theta)) - 1.0)
+        else:
+            # every Re (a_m + i tau)^-s has vanished: a Hurwitz zeta sum
+            s = n - 1.0
+            limit = A * special.gamma(s) * (
+                1.0 + 2.0 * theta ** -s * special.zeta(s, 1.0 + 1.0 / theta))
+        bath = BathSpec(BathFamily.POWER_LAW, A, theta, n=n)
+        assert gamma_value(bath, tau) == pytest.approx(limit, rel=1e-14)
 
     def test_nan_value_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):

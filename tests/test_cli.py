@@ -171,6 +171,18 @@ class TestGamma:
             bound = gamma_quadrature(bath, tau).est_abs_error + 1e-12 * closed
             assert abs(closed - quad) <= bound
 
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("bath", [
+        ["--bath", "ohmic"], ["--bath", "powerlaw", "--exponent", "1.5"]])
+    def test_oracle_node_at_zero_is_numerical_failure(self, tmp_path, capsys,
+                                                      bath):
+        out = tmp_path / "gamma.csv"
+        assert cli.main(["gamma", *bath, "--tau-max", "1e18", "--points", "2",
+                         "--out", str(out)]) == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestFigures:
     def test_fig1_starts_at_unity(self, tmp_path):
@@ -194,6 +206,15 @@ class TestFigures:
             vals = [float(r[col]) for r in rows]
             assert all(b <= a for a, b in zip(vals, vals[1:]))
             assert vals[0] > 0.999
+
+    def test_squared_overflow_decays_to_zero(self, tmp_path, capsys):
+        # tau^2 overflows on this grid; Gamma stays finite, so nu is 0
+        out = tmp_path / "fig1.csv"
+        assert cli.main(["fig1", "--tau-max", "1e200", "--points", "3",
+                         "--out", str(out)]) == cli.EXIT_OK
+        assert capsys.readouterr().err == ""
+        _, rows = read_csv(out)
+        assert [(float(r[1]), float(r[3])) for r in rows[1:]] == [(0.0, 0.0)] * 2
 
     @pytest.mark.parametrize("argv", [
         ["fig1", "--A", "1e308", "--points", "3"],
@@ -322,7 +343,8 @@ class TestSimulateAnalyze:
         '{"t1": "0.1", "d1": "+", "tau": 1.0, "d2": "+"}',
         '{"t1": true, "d1": "+", "tau": 1.0, "d2": "+"}',
         '{"t1": 0.1, "d1": "+", "tau": "1.0", "d2": "+"}',
-        '{"t1": 0.1, "d1": "+", "tau": false, "d2": "+"}'])
+        '{"t1": 0.1, "d1": "+", "tau": false, "d2": "+"}',
+        pytest.param("[" * 10_000 + "]" * 10_000, id="nested-10000")])
     def test_analyze_malformed_file(self, tmp_path, capsys, line):
         rec = tmp_path / "r.jsonl"
         rec.write_text(line + "\n")
@@ -356,6 +378,15 @@ class TestSimulateAnalyze:
         assert cli.main(["simulate", "--g", "5e-324", "--n", "5", "--seed",
                          "1", "--out", str(out)]) == cli.EXIT_NUMERIC
         assert not out.exists()
+
+    @pytest.mark.parametrize("bath", [
+        ["--bath", "ohmic"], ["--bath", "powerlaw", "--exponent", "2"]])
+    def test_simulate_squared_overflow(self, tmp_path, bath):
+        # 1/g = 1e160, so tau^2 overflows; Gamma does not
+        out = tmp_path / "r.jsonl"
+        assert cli.main(["simulate", *bath, "--g", "1e-160", "--n", "100",
+                         "--seed", "1", "--out", str(out)]) == cli.EXIT_OK
+        assert len(out.read_text().splitlines()) == 100
 
     def test_simulate_overflowing_gamma(self, tmp_path):
         # Gamma is NaN here, so every record would come out "different"

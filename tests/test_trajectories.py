@@ -18,9 +18,8 @@ from homsim.dynamics import Detector, SourceConfig
 from homsim.trajectories import (CHUNK_SIZE, ClickBatch, ClickRecord,
                                  EmptySelectionError, Selection, Window,
                                  binned_visibility, estimate_visibility,
-                                 read_blocks, read_records, sample_record,
-                                 simulate_chunks, simulate_ensemble,
-                                 write_records)
+                                 read_blocks, read_records, simulate_chunks,
+                                 simulate_ensemble, write_records)
 
 MARKOV = BathSpec(BathFamily.MARKOVIAN, 0.5, 10.0)
 OHMIC = BathSpec(BathFamily.OHMIC, 0.5, 10.0)
@@ -30,10 +29,6 @@ NO_DEPHASING = BathSpec(BathFamily.OHMIC, 0.0, 10.0)
 SRC_M = SourceConfig.identical_sources(0.01, MARKOV)
 
 
-def make_rng(seed=0):
-    return np.random.Generator(np.random.Philox(seed))
-
-
 def ks_statistic_tau(records, g: float) -> tuple[float, float]:
     """Kolmogorov-Smirnov statistic and p-value of tau against Exp(rate=g)."""
     result = stats.kstest(ClickBatch.of(records).tau,
@@ -41,30 +36,16 @@ def ks_statistic_tau(records, g: float) -> tuple[float, float]:
     return result.statistic, result.pvalue
 
 
-class TestSampleRecord:
-    def test_deterministic(self):
-        a = sample_record(make_rng(5), SRC_M)
-        b = sample_record(make_rng(5), SRC_M)
-        assert a == b
-
-    def test_no_dephasing_always_same_detector(self):
-        src = SourceConfig.identical_sources(0.01, NO_DEPHASING)
-        rng = make_rng(1)
-        for _ in range(200):
-            rec = sample_record(rng, src)
-            assert rec.d1 == rec.d2
+class TestSimulateEnsemble:
+    def test_repeatable(self):
+        assert simulate_ensemble(42, 10, SRC_M) == \
+            simulate_ensemble(42, 10, SRC_M)
 
     def test_mean_separation(self):
         records = simulate_ensemble(11, 100_000, SRC_M)
         mean_tau = np.mean([r.tau for r in records])
         # exponential with mean 100, 3 sigma of the sample mean
         assert abs(mean_tau - 100.0) < 3 * 100.0 / math.sqrt(100_000)
-
-
-class TestSimulateEnsemble:
-    def test_repeatable(self):
-        assert simulate_ensemble(42, 10, SRC_M) == \
-            simulate_ensemble(42, 10, SRC_M)
 
     def test_worker_count_invariant(self):
         one = simulate_ensemble(42, 10_000, SRC_M, workers=1)
