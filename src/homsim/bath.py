@@ -184,7 +184,10 @@ def spectral_density(bath: BathSpec, omega):
 
 
 def _coth(x):
-    return 1.0 / np.tanh(x)
+    # math, not numpy: the quadrature integrands call this once per node on a
+    # Python float, where one numpy ufunc call costs as much as the rest of
+    # the integrand
+    return 1.0 / math.tanh(x)
 
 
 def _require_integrable(bath: BathSpec, op: str):
@@ -201,7 +204,8 @@ def _quad(f, lo, hi, **weight):
     QUADPACK's rule for a fast oscillation takes f at the left end of a
     subinterval [a, b] as (a + b)/2 - (b - a)/2, which is 0 once a > 0 is
     below half an ulp of b.  For n < 2 the integrands have no value at
-    w = 0; that ends as a QuadratureError.
+    w = 0, and Gamma's has none at any n (coth); that ends as a
+    QuadratureError.
     """
     try:
         return scipy.integrate.quad(f, lo, hi, **weight, **_QUAD_OPTS)
@@ -399,8 +403,9 @@ def _lambda(bath: BathSpec, t1, t2):
         sine = np.arctan
     else:
         def sine(t):
-            # Gamma(s) Im (1 - i t)^-s
-            return scipy.special.gamma(s) * (1.0 + t * t) ** (-0.5 * s) \
+            # Gamma(s) Im (1 - i t)^-s, with (1 + t^2)^(-s/2) formed so that
+            # t^2 cannot overflow
+            return scipy.special.gamma(s) * np.exp(-0.5 * s * _log1p_sq(t)) \
                 * np.sin(s * np.arctan(t))
     tau = t2 - t1
     return bath.A * (tau * scipy.special.gamma(bath.n) + 2 * sine(t1)

@@ -17,8 +17,10 @@ import os
 import secrets
 import stat
 import sys
+import warnings
 
 import numpy as np
+import scipy
 
 from . import trajectories
 from .bath import (BathFamily, BathSpec, QuadratureError, gamma_closed_array,
@@ -99,8 +101,13 @@ def cmd_gamma(args) -> int:
     if bath.family is BathFamily.MARKOVIAN:
         raise UsageError("gamma table needs a bath with a spectral density")
     taus = _tau_grid(args)
-    rows = zip(taus, gamma_closed_array(bath, taus),
-               [gamma_quadrature(bath, float(t)).gamma_big for t in taus])
+    closed = gamma_closed_array(bath, taus)
+    with warnings.catch_warnings():
+        # gamma_quadrature checks its own error bound and a failure exits 3
+        # with one line, so QUADPACK's warning would only repeat it
+        warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
+        quad = [gamma_quadrature(bath, float(t)).gamma_big for t in taus]
+    rows = zip(taus, closed, quad)
     _write_csv(args.out, ["tau", "gamma_closed", "gamma_quadrature"], rows)
     return EXIT_OK
 

@@ -117,15 +117,33 @@ class TestGammaQuadrature:
                 f"tau={tau}"
 
     # the oscillatory panels from 10/tau then put a node at w = 0, where
-    # w^(n - 2) has no value for n < 2
+    # w^(n - 2) has no value for n < 2, and Gamma's coth(theta w / 2) none for
+    # any n; Lambda's integrand has no pole there for n >= 2
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
-    @pytest.mark.parametrize("n", [1.0, 1.5])
-    @pytest.mark.parametrize("oracle", [
-        lambda bath: gamma_quadrature(bath, 1e18),
-        lambda bath: lambda_phase(bath, 0.0, 1e18)], ids=["gamma", "lambda"])
+    @pytest.mark.parametrize("oracle, n", [
+        pytest.param(oracle, n, id=f"{name}-{n}")
+        for name, oracle, exponents in (
+            ("gamma", lambda bath: gamma_quadrature(bath, 1e18),
+             (1.0, 1.5, 2.0, 3.0)),
+            ("lambda", lambda bath: lambda_phase(bath, 0.0, 1e18), (1.0, 1.5)))
+        for n in exponents])
     def test_node_at_zero_is_quadrature_error(self, oracle, n):
         with pytest.raises(QuadratureError, match="w = 0"):
             oracle(BathSpec(BathFamily.POWER_LAW, 0.5, 10.0, n=n))
+
+    @pytest.mark.parametrize("tau", [0.5, 50.0])
+    @pytest.mark.parametrize("theta", [0.1, 10.0])
+    def test_integrand_runs_on_plain_floats(self, monkeypatch, theta, tau):
+        # QUADPACK calls the integrand thousands of times per tau; a numpy
+        # ufunc on each Python-float node made the oracle about 1.7x slower
+        def no_numpy(x):
+            raise AssertionError("numpy.tanh called at a quadrature node")
+
+        monkeypatch.setattr(np, "tanh", no_numpy)
+        bath = BathSpec(BathFamily.SUPEROHMIC, 0.5, theta)
+        quad = gamma_quadrature(bath, tau)
+        closed = gamma_closed(bath, tau).gamma_big
+        assert abs(closed - quad.gamma_big) <= quad.est_abs_error + 1e-14
 
     def test_powerlaw_general_exponent(self):
         # n = 2 sits between the closed-form families; sanity-bracket it
@@ -322,6 +340,15 @@ class TestLambdaPhase:
         for t1, t2 in [(0.0, 1.0), (1.0, 3.0), (2.0, 2.5), (0.0, 10.0)]:
             assert lambda_phase_closed(bath, t1, t2) == \
                 pytest.approx(lambda_phase(bath, t1, t2), abs=1e-10)
+
+    @pytest.mark.parametrize("tau", [1e155, 1e200, 1e300])
+    def test_finite_beyond_squared_overflow(self, tau):
+        # tau^2 overflows from tau = 1.34e154; S(tau) ~ tau^-(n - 1) is then
+        # far below an ulp of the linear term A tau Gamma(n)
+        bath = BathSpec(BathFamily.POWER_LAW, 0.5, 10.0, n=2.5)
+        assert lambda_phase_closed(bath, 0.0, tau) == \
+            pytest.approx(0.5 * tau * special.gamma(2.5), rel=1e-15)
+        assert math.isfinite(phi_phase(OHMIC, bath, 0.0, tau))
 
     def test_closed_form_vectorizes(self):
         bath = BathSpec(BathFamily.POWER_LAW, 0.5, 10.0, n=2.5)

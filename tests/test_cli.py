@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -171,16 +172,21 @@ class TestGamma:
             bound = gamma_quadrature(bath, tau).est_abs_error + 1e-12 * closed
             assert abs(closed - quad) <= bound
 
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     @pytest.mark.parametrize("bath", [
-        ["--bath", "ohmic"], ["--bath", "powerlaw", "--exponent", "1.5"]])
+        ["--bath", "ohmic"], ["--bath", "powerlaw", "--exponent", "1.5"],
+        ["--bath", "superohmic"], ["--bath", "powerlaw", "--exponent", "2"]])
     def test_oracle_node_at_zero_is_numerical_failure(self, tmp_path, capsys,
                                                       bath):
         out = tmp_path / "gamma.csv"
-        assert cli.main(["gamma", *bath, "--tau-max", "1e18", "--points", "2",
-                         "--out", str(out)]) == cli.EXIT_NUMERIC
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["gamma", *bath, "--tau-max", "1e18", "--points",
+                             "2", "--out", str(out)]) == cli.EXIT_NUMERIC
+        # a warning would print before the one line, with its source line
+        assert [str(w.message) for w in caught] == []
         err = capsys.readouterr().err
-        assert "numerical failure" in err and "Traceback" not in err
+        assert err.startswith("numerical failure") and err.count("\n") == 1
+        assert "w = 0" in err
         assert not out.exists()
 
 
