@@ -69,17 +69,25 @@ def _bath(args, family=None) -> BathSpec:
     return bath
 
 
+def _grid(space, start, stop, num) -> np.ndarray:
+    """space(start, stop, num); a grid numpy refuses to allocate is bad usage."""
+    try:
+        return space(start, stop, num)
+    except (MemoryError, ValueError) as exc:
+        raise UsageError(f"a grid of {num} points is too large: {exc}") from exc
+
+
 def _tau_grid(args) -> np.ndarray:
     if not 0 < args.tau_max < math.inf or args.points < 2:
         raise UsageError("need finite --tau-max > 0 and --points >= 2")
-    return np.linspace(0.0, args.tau_max, args.points)
+    return _grid(np.linspace, 0.0, args.tau_max, args.points)
 
 
 def _delta_grid(args) -> np.ndarray:
     if not 0 < args.delta_min < args.delta_max < math.inf or args.points < 2:
         raise UsageError("need 0 < --delta-min < --delta-max < inf "
                          "and --points >= 2")
-    return np.geomspace(args.delta_min, args.delta_max, args.points)
+    return _grid(np.geomspace, args.delta_min, args.delta_max, args.points)
 
 
 def _write_csv(path, header, rows):
@@ -209,9 +217,9 @@ def cmd_analyze(args) -> int:
     est = selection.estimate(window)
     if args.bins:
         hi = (args.delta if math.isfinite(args.delta)
-              else float(selection.tau.max()))
+              else max(float(tau.max()) for tau in selection.tau))
         try:
-            binned = selection.binned(np.linspace(0.0, hi, args.bins + 1))
+            binned = selection.binned(_grid(np.linspace, 0.0, hi, args.bins + 1))
         except ValueError as exc:
             raise UsageError(f"--bins {args.bins} cannot split the range "
                              f"[0, {hi!r}]") from exc

@@ -11,10 +11,10 @@ substream spawned off the ensemble seed, so the output is a pure function of
 (seed, n, source).  Records are held as columns, in a ClickBatch.  Both ends
 of the record file stream: simulate_chunks draws a chunk at a time and
 read_blocks parses a block of about 256 KiB at a time, and a Selection keeps
-of each batch only what the estimators need: the counts, plus 9 bytes per
-retained record when tau bins are asked for.  So a pipeline built from them
-holds a chunk or a block at once, plus those 9 bytes per record.  A block in
-the layout write_records lays out is blanked down to its times, with one
+of each batch only what the estimators need: the counts, plus for tau bins
+a part of 9 bytes per kept record.  So a pipeline built from them holds a
+chunk or a block at once, plus those 9 bytes per record.  A block in the
+layout write_records lays out is blanked down to its times, with one
 bytes.translate and a few fixed-offset writes, and parsed by one json.loads.
 """
 
@@ -48,8 +48,6 @@ __all__ = [
 ]
 
 CHUNK_SIZE = 4096
-# kept records histogrammed at a time by Selection.binned
-_BIN_SLICE = 1 << 16
 _Z95 = 1.959963984540054
 
 
@@ -191,13 +189,6 @@ def simulate_ensemble(seed: int, n: int, src: SourceConfig,
                         for col in _COLUMNS))
 
 
-def _extend(col: np.ndarray, part: np.ndarray) -> None:
-    """Append ``part`` to ``col`` in place; nothing else may view ``col``."""
-    n = col.size
-    col.resize(n + part.size, refcheck=False)
-    col[n:] = part
-
-
 def _visibilities(k, n):
     """nu_hat = |2k - n| / n for k of n >= 1 records on one detector, and the
     Wilson 95% interval of k / n mapped through |2p - 1|, folded at p = 1/2."""
@@ -234,33 +225,33 @@ class Selection:
 
     ``seen`` counts every record offered to the window, ``kept`` those it
     keeps and ``n_same`` those kept whose second click repeats the first
-    detector.  ``tau`` (float64) and ``same`` (bool) hold one entry per
-    record kept, 9 bytes in all, which binned() needs; they are None when
-    only the counts were kept.
+    detector.  ``tau`` (float64) and ``same`` (bool), which binned() needs,
+    hold 9 bytes per record kept, in order, as one array per batch that kept
+    a record; they are None when only the counts were kept.
     """
 
     seen: int
     kept: int
     n_same: int
-    tau: np.ndarray | None = None
-    same: np.ndarray | None = None
+    tau: tuple | None = None
+    same: tuple | None = None
 
     @classmethod
     def of(cls, batches, window: Window, columns: bool = True) -> "Selection":
-        """Post-select an iterable of ClickBatch one batch at a time, the
-        kept columns, if ``columns``, grown in place."""
+        """Post-select an iterable of ClickBatch one batch at a time, keeping,
+        if ``columns``, each batch's kept columns as one more part."""
         seen = kept = n_same = 0
-        tau, same = (np.empty(0), np.empty(0, bool)) if columns else (None, None)
+        tau, same = [], []
         for batch in batches:
             keep = window.keep(batch)
             is_same = (batch.d1 == batch.d2)[keep]
             seen += len(batch)
             kept += is_same.size
             n_same += int(np.count_nonzero(is_same))
-            if columns:
-                _extend(tau, batch.tau[keep])
-                _extend(same, is_same)
-        return cls(seen, kept, n_same, tau, same)
+            if columns and is_same.size:
+                tau.append(batch.tau[keep])
+                same.append(is_same)
+        return cls(seen, kept, n_same, *(map(tuple, (tau, same)) if columns else ()))
 
     def estimate(self, window: Window) -> VisibilityEstimate:
         """Visibility of the kept records with a 95% score interval.
@@ -285,14 +276,11 @@ class Selection:
         edges = np.asarray(bin_edges, dtype=float)
         if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0):
             raise ValueError("bin_edges must be strictly increasing with >= 2 entries")
-        # a slice of the kept records at a time, so that no whole column is
-        # copied; np.histogram sorts what it is given, so the records outside
-        # every bin are dropped first; bins are half-open [a, b), the last
-        # one closed [a, b]
+        # a part at a time, so that no whole column is copied; np.histogram
+        # sorts what it is given, so the records outside every bin are
+        # dropped first; bins are half-open [a, b), the last one closed [a, b]
         counts, n_same = np.zeros((2, edges.size - 1), np.intp)
-        for start in range(0, self.tau.size, _BIN_SLICE):
-            tau = self.tau[start:start + _BIN_SLICE]
-            same = self.same[start:start + _BIN_SLICE]
+        for tau, same in zip(self.tau, self.same):
             inside = (edges[0] <= tau) & (tau <= edges[-1])
             if not inside.all():
                 tau, same = tau[inside], same[inside]
@@ -320,7 +308,7 @@ def binned_visibility(records, bin_edges) -> BinnedVisibility:
     batch = ClickBatch.of(records)
     same = batch.d1 == batch.d2
     return Selection(len(batch), len(batch), int(np.count_nonzero(same)),
-                     batch.tau, same).binned(bin_edges)
+                     (batch.tau,), (same,)).binned(bin_edges)
 
 
 def write_records(fh, records) -> None:
@@ -420,9 +408,12 @@ def read_blocks(fh):
 
 def read_records(fh) -> ClickBatch:
     """Every record of read_blocks(fh), in one batch validated once, each
-    column grown in place a block at a time."""
+    column grown in place a block at a time by ndarray.resize, which peaks
+    below the twice its size of joining the blocks at the end."""
     cols = [np.empty(0, dtype) for dtype, _ in _RECORD.fields.values()]
     for rows in _row_blocks(fh):
         for col, name in zip(cols, _COLUMNS):
-            _extend(col, rows[name])
+            n = col.size
+            col.resize(n + rows.size, refcheck=False)  # nothing else views col
+            col[n:] = rows[name]
     return ClickBatch(*cols)

@@ -65,6 +65,32 @@ class TestUsageErrors:
     def test_bad_grid_or_run(self, tmp_path, argv):
         assert cli.main(argv + ["--out", str(tmp_path / "x")]) == cli.EXIT_USAGE
 
+    # sizes numpy refuses before it touches memory; a size the machine
+    # could allocate must never be tried here
+    @pytest.mark.parametrize("argv", [
+        ["fig1", "--points", "1000000000000000"],
+        ["windowed", "--points", "1000000000000000"],
+        ["gamma", "--points", "1000000000000000"],
+        ["fig1", "--points", "100000000000000000000"],
+        ["analyze", "--delta", "1", "--bins", "1000000000000000"],
+    ], ids=["fig1", "windowed", "gamma", "fig1-beyond-intp", "analyze-bins"])
+    def test_grid_too_large(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.csv"
+        if argv[0] == "analyze":
+            rec = tmp_path / "r.jsonl"
+            rec.write_text('{"t1": 0.1, "d1": "+", "tau": 0.5, "d2": "+"}\n')
+            argv = argv + ["--records", str(rec), "--bins-out", str(out)]
+        else:
+            argv = argv + ["--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1 and "points is too large" in errors[0]
+        assert "Traceback" not in captured.err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["visibility", "windowed", "fig2"])
     def test_curves_take_no_rate(self, tmp_path, command):
         with pytest.raises(SystemExit) as exc:
@@ -457,8 +483,10 @@ class TestStreaming:
         assert out.read_bytes() == buf.getvalue().encode()
         assert os.listdir(tmp_path) == ["r.jsonl"]
 
+    # at --t1-max 2.5, 227 of the 228 blocks of 4000 characters keep no
+    # record at --delta 0.5 and 15 keep none at --delta inf
     @pytest.mark.parametrize("block", [4000, trajectories._BLOCK])
-    @pytest.mark.parametrize("t1_max", [None, "30"])
+    @pytest.mark.parametrize("t1_max", [None, "30", "2.5"])
     @pytest.mark.parametrize("delta", ["0.5", "inf"])
     def test_analyze_matches_library(self, tmp_path, delta, t1_max, block):
         rec = tmp_path / "r.jsonl"

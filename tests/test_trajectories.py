@@ -391,9 +391,14 @@ class TestRecordLayerProperties:
         whole, joined = Selection.of([batch], window), Selection.of(pieces, window)
         keep = window.keep(batch)
         assert joined.seen == whole.seen == len(batch)
-        assert joined.tau.tolist() == whole.tau.tolist() == batch.tau[keep].tolist()
-        assert joined.same.tolist() == whole.same.tolist() == \
-            (batch.d1 == batch.d2)[keep].tolist()
+        # the kept columns, in file order, are the parts joined; a batch that
+        # keeps nothing adds no part
+        for sel in (whole, joined):
+            assert all(part.size for part in sel.tau + sel.same)
+            assert np.concatenate((np.empty(0), *sel.tau)).tolist() == \
+                batch.tau[keep].tolist()
+            assert np.concatenate((np.empty(0, bool), *sel.same)).tolist() == \
+                (batch.d1 == batch.d2)[keep].tolist()
 
 
 def _number(x) -> float:
