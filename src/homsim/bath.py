@@ -110,9 +110,9 @@ class BathSpec:
     """Dephasing environment: spectral family, coupling A, theta = omega_c * beta.
 
     ``n`` is the spectral exponent and is only free for POWER_LAW baths;
-    it is pinned to 1 (ohmic), 3 (superohmic) or None (Markovian) otherwise.
-    A = 0 is allowed and means no dephasing at all.  Every parameter must be
-    finite.
+    it is pinned to 1 (ohmic), 3 (superohmic) or None (Markovian) otherwise,
+    and any other n is a ValueError.  A = 0 is allowed and means no
+    dephasing at all.  Every parameter must be finite.
     """
 
     family: BathFamily
@@ -130,6 +130,9 @@ class BathSpec:
         pinned = {BathFamily.OHMIC: 1.0, BathFamily.SUPEROHMIC: 3.0,
                   BathFamily.MARKOVIAN: None}
         if family in pinned:
+            if self.n is not None and self.n != pinned[family]:
+                raise ValueError(f"n is fixed at {pinned[family]} for "
+                                 f"{family.value} baths, got {self.n}")
             object.__setattr__(self, "n", pinned[family])
         else:
             if self.n is None or not 0 < self.n < math.inf:
@@ -198,6 +201,16 @@ def _require_integrable(bath: BathSpec, op: str):
             f"{op}: integral diverges for spectral exponent n = {bath.n} < 1")
 
 
+def _checked(kind: str, value: float, err: float) -> float:
+    """value if err meets _ERR_CEILING and value is finite, or else raise."""
+    if not err <= _ERR_CEILING * max(1.0, abs(value)):
+        raise QuadratureError(
+            f"{kind} quadrature reached only {err:.3e} absolute error", err)
+    if not math.isfinite(value):  # an inf meets any bound relative to it
+        raise QuadratureError(f"{kind} quadrature gave a non-finite value", err)
+    return value
+
+
 def _quad(f, lo, hi, **weight):
     """scipy.integrate.quad of f over [lo, hi] to _QUAD_OPTS.
 
@@ -249,11 +262,8 @@ def gamma_quadrature(bath: BathSpec, tau: float) -> DecoherenceValue:
         parts.append(_quad(envelope, lo, hi))
         osc, e = _quad(envelope, lo, hi, weight="cos", wvar=tau)
         parts.append((-osc, e))
-    value = math.fsum(v for v, _ in parts)
     err = sum(e for _, e in parts)
-    if not err <= _ERR_CEILING * max(1.0, abs(value)):
-        raise QuadratureError(
-            f"gamma quadrature reached only {err:.3e} absolute error", err)
+    value = _checked("gamma", math.fsum(v for v, _ in parts), err)
     return DecoherenceValue(max(value, 0.0), GammaMethod.QUADRATURE, err)
 
 
@@ -389,15 +399,14 @@ def lambda_phase(bath: BathSpec, t1: float, t2: float) -> float:
         value, e = _sine_transform(A, n, t)
         total += coeff * value
         err += abs(coeff) * e
-    if not err <= _ERR_CEILING * max(1.0, abs(total)):
-        raise QuadratureError(
-            f"lambda quadrature reached only {err:.3e} absolute error", err)
-    return total
+    return _checked("lambda", total, err)
 
 
 def _lambda(bath: BathSpec, t1, t2):
     _require_integrable(bath, "lambda_phase_closed")
     t1, t2 = _ordered(t1, t2)
+    if bath.A == 0.0:  # Gamma(n) is inf from n = 171.7, and 0 * inf is NaN
+        return np.zeros(np.broadcast(t1, t2).shape)
     s = bath.n - 1.0
     if s == 0.0:
         sine = np.arctan
@@ -408,8 +417,12 @@ def _lambda(bath: BathSpec, t1, t2):
             return scipy.special.gamma(s) * np.exp(-0.5 * s * _log1p_sq(t)) \
                 * np.sin(s * np.arctan(t))
     tau = t2 - t1
-    return bath.A * (tau * scipy.special.gamma(bath.n) + 2 * sine(t1)
-                     - 2 * sine(t2) + sine(tau))
+    out = bath.A * (tau * scipy.special.gamma(bath.n) + 2 * sine(t1)
+                    - 2 * sine(t2) + sine(tau))
+    # A tau Gamma(n) grows where Gamma saturates; inf would make kappa NaN
+    if not np.isfinite(out).all():
+        raise FloatingPointError(f"Lambda overflows for {bath}")
+    return out
 
 
 def lambda_phase_closed(bath: BathSpec, t1, t2):

@@ -3,8 +3,8 @@
 All flags are dimensionless, in units of the bath cutoff frequency omega_c
 (times are omega_c*t, rates are gamma/omega_c, theta = omega_c*beta).
 
-Exit codes: 0 success, 2 bad usage, 3 numerical failure, 4 I/O failure,
-5 empty post-selection.
+Exit codes, all decided in main: 0 success, 2 bad usage (any ValueError),
+3 numerical failure, 4 I/O failure, 5 empty post-selection.
 """
 
 from __future__ import annotations
@@ -41,10 +41,6 @@ DEFAULT_THETA = 10.0
 DEFAULT_G = 0.01
 
 
-class UsageError(Exception):
-    pass
-
-
 def _bath_args(parser):
     parser.add_argument("--bath", default="ohmic",
                         choices=[f.value for f in BathFamily],
@@ -59,13 +55,10 @@ def _bath_args(parser):
 
 def _bath(args, family=None) -> BathSpec:
     """The bath of --bath, or of ``family`` at the same --A and --theta."""
-    try:
-        bath = BathSpec(family=BathFamily(family or args.bath), A=args.A,
-                        theta=args.theta, n=None if family else args.exponent)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    bath = BathSpec(family=BathFamily(family or args.bath), A=args.A,
+                    theta=args.theta, n=None if family else args.exponent)
     if bath.n is not None and bath.n < 1:
-        raise UsageError(f"Gamma diverges for --exponent {bath.n} < 1")
+        raise ValueError(f"Gamma diverges for --exponent {bath.n} < 1")
     return bath
 
 
@@ -74,18 +67,18 @@ def _grid(space, start, stop, num) -> np.ndarray:
     try:
         return space(start, stop, num)
     except (MemoryError, ValueError) as exc:
-        raise UsageError(f"a grid of {num} points is too large: {exc}") from exc
+        raise ValueError(f"a grid of {num} points is too large: {exc}") from exc
 
 
 def _tau_grid(args) -> np.ndarray:
     if not 0 < args.tau_max < math.inf or args.points < 2:
-        raise UsageError("need finite --tau-max > 0 and --points >= 2")
+        raise ValueError("need finite --tau-max > 0 and --points >= 2")
     return _grid(np.linspace, 0.0, args.tau_max, args.points)
 
 
 def _delta_grid(args) -> np.ndarray:
     if not 0 < args.delta_min < args.delta_max < math.inf or args.points < 2:
-        raise UsageError("need 0 < --delta-min < --delta-max < inf "
+        raise ValueError("need 0 < --delta-min < --delta-max < inf "
                          "and --points >= 2")
     return _grid(np.geomspace, args.delta_min, args.delta_max, args.points)
 
@@ -106,8 +99,6 @@ class _IOFailure(Exception):
 
 def cmd_gamma(args) -> int:
     bath = _bath(args)
-    if bath.family is BathFamily.MARKOVIAN:
-        raise UsageError("gamma table needs a bath with a spectral density")
     taus = _tau_grid(args)
     closed = gamma_closed_array(bath, taus)
     with warnings.catch_warnings():
@@ -180,30 +171,20 @@ def _replace_on_success(path):
 
 
 def cmd_simulate(args) -> int:
-    bath = _bath(args)
-    try:
-        src = SourceConfig.identical_sources(args.g, bath)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    src = SourceConfig.identical_sources(args.g, _bath(args))
     if args.n < 1 or args.seed < 0 or args.workers < 1:
-        raise UsageError("need --n >= 1, --seed >= 0 and --workers >= 1")
+        raise ValueError("need --n >= 1, --seed >= 0 and --workers >= 1")
     # each chunk is written as soon as it is drawn
     with _replace_on_success(args.out) as fh:
-        try:
-            for chunk in trajectories.simulate_chunks(args.seed, args.n, src):
-                trajectories.write_records(fh, chunk)
-        except ValueError as exc:  # click times overflow when 1/g is huge
-            raise FloatingPointError(f"click times overflow: {exc}") from exc
+        for chunk in trajectories.simulate_chunks(args.seed, args.n, src):
+            trajectories.write_records(fh, chunk)
     return EXIT_OK
 
 
 def cmd_analyze(args) -> int:
-    try:
-        window = Window(delta=args.delta, t1_max=args.t1_max)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    window = Window(delta=args.delta, t1_max=args.t1_max)
     if args.bins < 0:
-        raise UsageError(f"--bins must be >= 0, got {args.bins}")
+        raise ValueError(f"--bins must be >= 0, got {args.bins}")
     # the file is post-selected a block at a time: only the retained records'
     # counts are kept, and their tau and same-detector flag if --bins needs them
     try:
@@ -218,10 +199,11 @@ def cmd_analyze(args) -> int:
     if args.bins:
         hi = (args.delta if math.isfinite(args.delta)
               else max(float(tau.max()) for tau in selection.tau))
+        edges = _grid(np.linspace, 0.0, hi, args.bins + 1)
         try:
-            binned = selection.binned(_grid(np.linspace, 0.0, hi, args.bins + 1))
+            binned = selection.binned(edges)
         except ValueError as exc:
-            raise UsageError(f"--bins {args.bins} cannot split the range "
+            raise ValueError(f"--bins {args.bins} cannot split the range "
                              f"[0, {hi!r}]") from exc
     print(f"records:     {selection.seen}")
     print(f"retained:    {est.n_same + est.n_diff} "
@@ -311,7 +293,7 @@ def main(argv=None) -> int:
         # a NaN or inf result exits 3 below, so numpy's warnings are noise
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.func(args)
-    except UsageError as exc:
+    except ValueError as exc:  # a parameter the CLI or the library refused
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return EXIT_USAGE

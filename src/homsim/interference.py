@@ -198,13 +198,14 @@ def superohmic_asymptote(bath: BathSpec) -> float:
 
     Exact tau -> inf limit of the finite-cutoff closed form in the bath
     module: the vacuum term tends to A and the thermal sum to
-    2A sum_m 1/a_m^2 = 2A psi'(1 + 1/theta) / theta^2, so
-    Gamma_inf = A [1 + 2 psi'(1 + 1/theta) / theta^2].  The familiar
-    A (1 + pi^2 / (3 theta^2)) is its theta >> 1 limit.
+    2A sum_m 1/a_m^2 = 2A x^2 psi'(1 + x) with x = 1/theta.  Formed as
+    Gamma_inf = A + 2 (x psi'(1 + x)) (A / theta), free of x^2, it gives a
+    value in [0, 1] for every theta > 0, tending to 0 as theta -> 0.  The
+    familiar A (1 + pi^2 / (3 theta^2)) is its theta >> 1 limit.
     """
     if bath.family is not BathFamily.SUPEROHMIC:
         raise ValueError("superohmic_asymptote needs a superohmic bath")
-    theta = bath.theta
-    thermal = 2.0 * float(scipy.special.polygamma(1, 1.0 + 1.0 / theta)) \
-        / theta ** 2
-    return math.exp(-2.0 * bath.A * (1.0 + thermal))
+    x = 1.0 / bath.theta
+    # x overflows only for theta < 5.6e-309, where r is 1 to double precision
+    r = x * float(scipy.special.polygamma(1, 1.0 + x)) if x < math.inf else 1.0
+    return math.exp(-2.0 * bath.A - 4.0 * r * (bath.A / bath.theta))

@@ -160,6 +160,9 @@ def _draw(rng: np.random.Generator, src: SourceConfig, m: int) -> ClickBatch:
     t1 = rng.exponential(1.0 / (2.0 * src.g), size=m)
     d1 = rng.integers(0, 2, size=m)
     tau = rng.exponential(1.0 / src.g, size=m)
+    if not (np.isfinite(t1).all() and np.isfinite(tau).all()):
+        raise FloatingPointError(
+            "click times overflow: times must be finite and >= 0")
     same = rng.random(size=m) < 0.5 * (1.0 + coherence_factor(src, t1, tau))
     return ClickBatch(t1, d1, tau, np.where(same, d1, 1 - d1))
 
@@ -167,7 +170,7 @@ def _draw(rng: np.random.Generator, src: SourceConfig, m: int) -> ClickBatch:
 def simulate_chunks(seed: int, n: int, src: SourceConfig):
     """The n records of simulate_ensemble as ClickBatch chunks of up to
     CHUNK_SIZE records, each drawn from its own Philox substream of the seed
-    only when it is asked for."""
+    only when it is asked for; overflow raises FloatingPointError."""
     if n < 1:
         raise ValueError("need n >= 1")
     return (_draw(np.random.Generator(np.random.Philox(

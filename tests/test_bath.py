@@ -16,10 +16,18 @@ from homsim.dynamics import (SourceConfig, coherence, coherence_factor,
                              conditional_state, first_click_density,
                              second_click_density, survival_probability)
 from homsim.interference import visibility, visibility_nonidentical
+from homsim.trajectories import simulate_ensemble
 
 OHMIC = BathSpec(BathFamily.OHMIC, 0.5, 10.0)
 SUPER = BathSpec(BathFamily.SUPEROHMIC, 0.5, 10.0)
 MARKOV = BathSpec(BathFamily.MARKOVIAN, 0.5, 10.0)
+_HUGE_SUPER = BathSpec(BathFamily.SUPEROHMIC, 1e300, 1.0)
+
+
+def _pair(g):
+    """Non-identical sources whose second Lambda overflows."""
+    return SourceConfig(g, BathSpec(BathFamily.OHMIC, 0.5, 1.0), _HUGE_SUPER,
+                        False)
 
 
 class TestBathSpec:
@@ -49,6 +57,16 @@ class TestBathSpec:
     def test_zero_coupling_allowed(self):
         bath = BathSpec(BathFamily.OHMIC, 0.0, 10.0)
         assert gamma_value(bath, 5.0) == 0.0
+
+    @pytest.mark.parametrize("family, n", [
+        (BathFamily.OHMIC, 3.0), (BathFamily.SUPEROHMIC, 1.0),
+        (BathFamily.MARKOVIAN, 2.0)])
+    def test_fixed_exponent_rejected(self, family, n):
+        # only a power-law bath takes an exponent; the pinned one is accepted
+        with pytest.raises(ValueError, match="n is fixed at"):
+            BathSpec(family, 0.5, 10.0, n=n)
+        pinned = BathSpec(family, 0.5, 10.0).n
+        assert BathSpec(family, 0.5, 10.0, n=pinned).n == pinned
 
 
 class TestSpectralDensity:
@@ -130,6 +148,21 @@ class TestGammaQuadrature:
     def test_node_at_zero_is_quadrature_error(self, oracle, n):
         with pytest.raises(QuadratureError, match="w = 0"):
             oracle(BathSpec(BathFamily.POWER_LAW, 0.5, 10.0, n=n))
+
+    # inf meets any bound relative to the value, so it must fail by itself
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("oracle, family, message", [
+        (lambda bath: gamma_quadrature(bath, 1.0), BathFamily.OHMIC,
+         "gave a non-finite value"),
+        (lambda bath: gamma_quadrature(bath, 1.0), BathFamily.SUPEROHMIC,
+         "nan absolute error"),
+        (lambda bath: lambda_phase(bath, 0.0, 1.0), BathFamily.OHMIC,
+         "inf absolute error")],
+        ids=["gamma-ohmic", "gamma-superohmic", "lambda-ohmic"])
+    def test_unbounded_value_is_quadrature_error(self, oracle, family, message):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(QuadratureError, match=message):
+            oracle(BathSpec(family, 1e308, 1.0))
 
     @pytest.mark.parametrize("tau", [0.5, 50.0])
     @pytest.mark.parametrize("theta", [0.1, 10.0])
@@ -349,6 +382,31 @@ class TestLambdaPhase:
         assert lambda_phase_closed(bath, 0.0, tau) == \
             pytest.approx(0.5 * tau * special.gamma(2.5), rel=1e-15)
         assert math.isfinite(phi_phase(OHMIC, bath, 0.0, tau))
+
+    # A tau Gamma(3) overflows at tau = 1e10 while Gamma saturates near A,
+    # so phi and kappa would be NaN: every record "different"
+    @pytest.mark.parametrize("call", [
+        lambda: lambda_phase_closed(_HUGE_SUPER, 0.0, 1e10),
+        lambda: visibility_nonidentical(_pair(0.01), 0.0, 1e10),
+        lambda: simulate_ensemble(1, 4096, _pair(1e-12))],
+        ids=["lambda", "visibility", "records"])
+    def test_overflow_raises(self, call):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(FloatingPointError, match="overflows"):
+            call()
+
+    def test_uncoupled_is_zero_where_gamma_n_overflows(self):
+        # Gamma(200) is inf, but A = 0 means Lambda = 0, not 0 * inf = NaN
+        free = BathSpec(BathFamily.POWER_LAW, 0.0, 10.0, n=200.0)
+        assert lambda_phase_closed(free, 0.0, 1.0) == 0.0
+        np.testing.assert_array_equal(
+            lambda_phase_closed(free, [0.0, 1.0], [2.0, 1e10]), [0.0, 0.0])
+        pair = SourceConfig(0.01, OHMIC, free, False)
+        assert math.isfinite(phi_phase(OHMIC, free, 0.0, 1.0))
+        assert coherence_factor(pair, 0.0, 1.0) == \
+            pytest.approx(math.exp(-gamma_closed(OHMIC, 1.0).gamma_big)
+                          * math.cos(lambda_phase_closed(OHMIC, 0.0, 1.0)),
+                          rel=1e-15)
 
     def test_closed_form_vectorizes(self):
         bath = BathSpec(BathFamily.POWER_LAW, 0.5, 10.0, n=2.5)

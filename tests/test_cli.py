@@ -111,6 +111,33 @@ class TestUsageErrors:
         assert cli.main(["analyze", "--records", str(rec),
                          "--delta", "-1"]) == cli.EXIT_USAGE
 
+    def test_analyze_negative_bins(self, tmp_path, capsys):
+        rec, out = tmp_path / "r.jsonl", tmp_path / "b.csv"
+        rec.write_text('{"t1": 0.1, "d1": "+", "tau": 0.5, "d2": "+"}\n')
+        assert cli.main(["analyze", "--records", str(rec), "--delta", "1",
+                         "--bins", "-1", "--bins-out", str(out)]) \
+            == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("error: --bins must be >= 0, got -1\n")
+
+    # a ValueError the library raises is a refused parameter, as is the CLI's
+    @pytest.mark.parametrize("argv", [
+        ["visibility", "--bath", "ohmic", "--exponent", "3"],
+        ["simulate", "--bath", "markovian", "--exponent", "2", "--n", "5",
+         "--seed", "1"],
+        ["gamma", "--bath", "markovian"],
+    ], ids=["visibility-ohmic-exponent", "simulate-markovian-exponent",
+            "gamma-markovian"])
+    def test_library_refusal(self, tmp_path, capsys, argv):
+        out = tmp_path / "x"
+        assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1 and "Traceback" not in captured.err
+        assert captured.out == "" and not out.exists()
+
     def test_analyze_bad_t1_max(self, tmp_path):
         rec = tmp_path / "r.jsonl"
         rec.write_text("")

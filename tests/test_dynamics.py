@@ -177,6 +177,11 @@ class TestConditionalState:
             ConditionalState(tau=1.0, weight=weight, coherence_mag=mag,
                              phase=0.0)
 
+    def test_rejects_bad_parity(self):
+        with pytest.raises(ValueError, match="parity"):
+            ConditionalState(tau=1.0, weight=0.5, coherence_mag=0.5,
+                             phase=0.0, parity=0)
+
 
 class TestSecondClick:
     def test_no_dephasing_never_anticorrelates(self):

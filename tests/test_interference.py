@@ -7,12 +7,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
 from homsim import cli, interference
-from homsim.bath import BathFamily, BathSpec, phi_phase
+from homsim.bath import (BathFamily, BathSpec, gamma_closed_array,
+                         gamma_quadrature, phi_phase)
 from homsim.dynamics import SourceConfig, second_click_density
 from homsim.interference import (postselected_visibility,
                                  superohmic_asymptote, visibility,
@@ -160,6 +161,14 @@ class TestWindowed:
         with pytest.raises(ValueError):
             windowed_visibility(src_of(MARKOV), math.inf)
 
+    @pytest.mark.parametrize("kernel", [windowed_visibility,
+                                        postselected_visibility])
+    def test_rejects_nonidentical(self, kernel):
+        weak = BathSpec(BathFamily.OHMIC, 0.25, 10.0)
+        src = SourceConfig(g=0.01, bath1=weak, bath2=OHMIC, identical=False)
+        with pytest.raises(ValueError, match="identical sources"):
+            kernel(src, 1.0)
+
     def test_is_rate_independent_window_average(self):
         for g in (1e-4, 1e-2, 1e-1):
             for delta in (1e-3, 0.5, 1.0, 10.0):
@@ -232,11 +241,21 @@ class TestWindowedMarkovianClosedForm:
         with pytest.raises(ValueError):
             windowed_visibility_markovian(OHMIC, 1.0)
 
+    @pytest.mark.parametrize("delta", [0.0, -1.0, math.nan])
+    def test_rejects_bad_window(self, delta):
+        with pytest.raises(ValueError, match="window width must be > 0"):
+            windowed_visibility_markovian(MARKOV, delta)
+
 
 class TestWindowedOhmicLowT:
     def test_limit_is_unity(self):
         assert windowed_visibility_ohmic_lowT(OHMIC, 1e-8) == \
             pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("bath", [SUPER, MARKOV], ids=["super", "markov"])
+    def test_wrong_family(self, bath):
+        with pytest.raises(ValueError, match="needs an ohmic bath"):
+            windowed_visibility_ohmic_lowT(bath, 1.0)
 
     def test_arctan_branch(self):
         assert windowed_visibility_ohmic_lowT(OHMIC, 1.0) == \
@@ -374,6 +393,23 @@ class TestSuperohmicAsymptote:
         assert superohmic_asymptote(SUPER) == pytest.approx(exact, abs=2e-6)
 
 
+class TestSuperohmicAsymptoteSmallTheta:
+    # theta^2 underflows to 0 below theta = 1.5e-162, and 1/theta overflows
+    # below 5.6e-309; Gamma_inf ~ 2A/theta, so the floor is 0 at A = 0.5
+    @pytest.mark.parametrize("theta", [1e-170, 1e-300, 5e-324])
+    def test_limit(self, theta):
+        bath = BathSpec(BathFamily.SUPEROHMIC, 0.5, theta)
+        assert superohmic_asymptote(bath) == 0.0
+        free = BathSpec(BathFamily.SUPEROHMIC, 0.0, theta)
+        assert superohmic_asymptote(free) == 1.0
+
+    def test_coupling_as_small_as_theta(self):
+        # Gamma_inf = A + 2 (A / theta) (1 - theta/2 + ...) -> 2 at A = theta
+        bath = BathSpec(BathFamily.SUPEROHMIC, 5e-324, 5e-324)
+        assert superohmic_asymptote(bath) == pytest.approx(math.exp(-4.0),
+                                                           rel=1e-15)
+
+
 class TestFixedRule:
     """The fixed window rule against the adaptive oracles and closed forms."""
 
@@ -499,17 +535,36 @@ _DELTAS = st.lists(st.floats(1e-4, 1e3), min_size=1, max_size=8,
                    unique=True).map(sorted)
 
 
+# a power-law bath whose Gamma overshoots: nu' rises from Delta = 2 to 3
+_OVERSHOOT = BathSpec(BathFamily.POWER_LAW, 0.001, 5.0, n=5.0)
+
+
 class TestWindowProperties:
     """Window kernels over random baths and sorted window grids."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(src=_sources(), deltas=_DELTAS)
+    @example(src=src_of(_OVERSHOOT, g=1.0), deltas=[2.0, 3.0])
     def test_bounded_and_monotone(self, src, deltas):
         windowed = windowed_visibility(src, deltas)
         post = postselected_visibility(src, deltas)
         assert np.all((windowed >= 0) & (windowed <= 1))
         assert np.all((post >= 0) & (post <= 1))
-        assert np.all(np.diff(windowed) <= 1e-12)
+        # nu' is the running mean of nu = e^{-2 Gamma}, so it never rises
+        # up to any Delta below which Gamma never falls
+        gamma = gamma_closed_array(src.bath1,
+                                   np.geomspace(1e-6, max(deltas), 2001))
+        if np.all(np.diff(gamma) >= 0):
+            assert np.all(np.diff(windowed) <= 1e-12)
+
+    def test_rises_where_gamma_overshoots(self):
+        # for n > 1, Gamma peaks near tau = 1 above its long-time value,
+        # so nu' can rise; the quadrature oracle shows the same overshoot
+        peak, late = (gamma_quadrature(_OVERSHOOT, t).gamma_big
+                      for t in (1.0, 3.0))
+        assert peak > 1.2 * late
+        low, high = windowed_visibility(src_of(_OVERSHOOT), [2.0, 3.0])
+        assert high > low + 1e-7
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(src=_sources(), deltas=_DELTAS)

@@ -86,6 +86,13 @@ class TestSimulateEnsemble:
         with pytest.raises(ValueError):
             simulate_ensemble(1, 10, SRC_M, workers=0)
 
+    @pytest.mark.parametrize("g", [5e-324, 1e-308])
+    def test_overflowing_click_times(self, g):
+        # 1/g overflows, or the draws beyond it do: a numerical failure
+        src = SourceConfig.identical_sources(g, MARKOV)
+        with pytest.raises(FloatingPointError, match="click times overflow"):
+            simulate_ensemble(1, 5000, src)
+
     def test_chunks_drawn_on_demand(self):
         n = 3 * CHUNK_SIZE + 5
         with mock.patch.object(trajectories, "_draw",
@@ -215,6 +222,12 @@ class TestBinnedVisibility:
     def test_bad_edges(self):
         with pytest.raises(ValueError):
             binned_visibility([], [3.0, 1.0])
+
+    def test_counts_only_selection_cannot_bin(self):
+        counts = Selection.of([simulate_ensemble(3, 50, SRC_M)], Window(1.0),
+                              columns=False)
+        with pytest.raises(ValueError, match="kept only counts"):
+            counts.binned([0.0, 1.0])
 
 
 class TestSerialization:
