@@ -67,8 +67,6 @@ __all__ = [
     "spectral_density",
 ]
 
-# Frequency beyond which the e^{-w} tail contributes < 1e-25.
-_OMEGA_MAX = 60.0
 _QUAD_OPTS = {"limit": 400, "epsabs": 1e-12, "epsrel": 1e-12}
 # gamma_quadrature and lambda_phase must reach this bound, relative to
 # max(1, |value|), or report failure.
@@ -86,8 +84,9 @@ _ROW_WEIGHT = np.r_[1.0, np.full(_M_DIRECT - 1, 2.0), 1.0,
                     1 / 6, -1 / 360, 1 / 15120, -1 / 604800, 1 / 23950080]
 # tau values per evaluation block, which bounds the kernel's memory
 _BLOCK = 512
-# the largest x >= 0 whose x * x is finite
+# the largest x >= 0 whose x * x is finite, and the log of the largest float
 _SQRT_MAX = math.sqrt(np.finfo(float).max)
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 class QuadratureError(RuntimeError):
@@ -211,6 +210,27 @@ def _checked(kind: str, value: float, err: float) -> float:
     return value
 
 
+def _spectral_panels(n: float):
+    """(end, r, u, c): where the quadrature oracles end their last panel for
+    exponent n, and the form c (r w)^p e^(u-w) of w^p e^-w, p = n - 2, whose
+    factors are finite on [0, end].
+
+    J/w^2 = A w^p e^-w peaks at w = p, and the share of its integral past
+    the end is Q(n - 1, end), the regularized upper incomplete gamma
+    function.  The end is 60 up to n = 10 and moves out by 2 per unit of n
+    beyond, which keeps that share below 8e-17 for every n.  w^p alone
+    overflows past w = 10^(308/p), w = 120 at p = 148, although the product
+    stays finite wherever Gamma(p + 1) is.  Where end^p would overflow,
+    r = 1/p and u = p, about the peak w = p, where (r w)^p e^(u-w) <= 1, and
+    c = p^p e^-p multiplies the integrals, not the integrand; otherwise
+    r = 1, u = 0 and c = 1, which leave every value bit for bit as it was.
+    """
+    end, p = 60.0 + 2.0 * max(0.0, n - 10.0), n - 2
+    if p * math.log(end) < _LOG_MAX:
+        return end, 1.0, 0.0, 1.0
+    return end, 1.0 / p, p, math.exp(p * math.log(p) - p)
+
+
 def _quad(f, lo, hi, **weight):
     """scipy.integrate.quad of f over [lo, hi] to _QUAD_OPTS.
 
@@ -243,27 +263,29 @@ def gamma_quadrature(bath: BathSpec, tau: float) -> DecoherenceValue:
         return DecoherenceValue(0.0, GammaMethod.QUADRATURE, 0.0)
 
     A, n, theta = bath.A, bath.n, bath.theta
+    end, r, u, c = _spectral_panels(n)
 
     def full(w):
         # 2 sin^2(w tau / 2) = 1 - cos(w tau), stable for small w tau
-        return A * w ** (n - 2) * math.exp(-w) \
+        return A * (r * w) ** (n - 2) * math.exp(u - w) \
             * 2.0 * math.sin(0.5 * w * tau) ** 2 * _coth(0.5 * theta * w)
 
     def envelope(w):
-        return A * w ** (n - 2) * math.exp(-w) * _coth(0.5 * theta * w)
+        return A * (r * w) ** (n - 2) * math.exp(u - w) \
+            * _coth(0.5 * theta * w)
 
     # Keep at most a couple of oscillations in the directly-integrated head.
     cut = min(1.0, 10.0 / max(tau, 1.0))
     knees = {2.0 / theta, 40.0 / theta}
     head = sorted({0.0, cut} | {k for k in knees if k < cut})
-    tail = sorted({cut, _OMEGA_MAX} | {k for k in knees if cut < k < _OMEGA_MAX})
+    tail = sorted({cut, end} | {k for k in knees if cut < k < end})
     parts = [_quad(full, lo, hi) for lo, hi in zip(head, head[1:])]
     for lo, hi in zip(tail, tail[1:]):
         parts.append(_quad(envelope, lo, hi))
         osc, e = _quad(envelope, lo, hi, weight="cos", wvar=tau)
         parts.append((-osc, e))
-    err = sum(e for _, e in parts)
-    value = _checked("gamma", math.fsum(v for v, _ in parts), err)
+    err = c * sum(e for _, e in parts)
+    value = _checked("gamma", c * math.fsum(v for v, _ in parts), err)
     return DecoherenceValue(max(value, 0.0), GammaMethod.QUADRATURE, err)
 
 
@@ -368,17 +390,18 @@ def _sine_transform(A, n, t):
     """int_0^inf A w^{n-2} e^{-w} sin(w t) dw, adaptive, t >= 0."""
     if t == 0.0 or A == 0.0:
         return 0.0, 0.0
+    end, r, u, c = _spectral_panels(n)
 
     def head_f(w):
-        return A * w ** (n - 2) * math.exp(-w) * math.sin(w * t)
+        return A * (r * w) ** (n - 2) * math.exp(u - w) * math.sin(w * t)
 
     def envelope(w):
-        return A * w ** (n - 2) * math.exp(-w)
+        return A * (r * w) ** (n - 2) * math.exp(u - w)
 
     cut = min(1.0, 10.0 / max(t, 1.0))
     head, e1 = _quad(head_f, 0.0, cut)
-    osc, e2 = _quad(envelope, cut, _OMEGA_MAX, weight="sin", wvar=t)
-    return head + osc, e1 + e2
+    osc, e2 = _quad(envelope, cut, end, weight="sin", wvar=t)
+    return c * (head + osc), c * (e1 + e2)
 
 
 def lambda_phase(bath: BathSpec, t1: float, t2: float) -> float:
@@ -393,7 +416,9 @@ def lambda_phase(bath: BathSpec, t1: float, t2: float) -> float:
         return 0.0
     A, n = bath.A, bath.n
     tau = t2 - t1
-    total = A * tau * scipy.special.gamma(n)
+    # a Python float: A tau Gamma(n) past the float range is an inf, which
+    # _checked refuses, not a numpy overflow warning
+    total = A * tau * float(scipy.special.gamma(n))
     err = 0.0
     for coeff, t in ((2.0, t1), (-2.0, t2), (1.0, tau)):
         value, e = _sine_transform(A, n, t)

@@ -97,42 +97,56 @@ class _IOFailure(Exception):
     """A record file that cannot be parsed; an OSError exits the same way."""
 
 
-def cmd_gamma(args) -> int:
-    bath = _bath(args)
-    taus = _tau_grid(args)
-    closed = gamma_closed_array(bath, taus)
+def _gamma_quadrature(src, taus):
     with warnings.catch_warnings():
         # gamma_quadrature checks its own error bound and a failure exits 3
         # with one line, so QUADPACK's warning would only repeat it
         warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
-        quad = [gamma_quadrature(bath, float(t)).gamma_big for t in taus]
-    rows = zip(taus, closed, quad)
-    _write_csv(args.out, ["tau", "gamma_closed", "gamma_quadrature"], rows)
-    return EXIT_OK
+        return [gamma_quadrature(src.bath1, float(t)).gamma_big for t in taus]
 
 
 _FIGURE_BATHS = ("ohmic", "superohmic", "markovian")
 
+# the commands that write one curve table, by name: whether the columns
+# repeat over the three reference baths (else the bath of --bath), the grid
+# (tau, or window widths Delta), the default --points, the help, and each
+# column's kernel(src, grid)
+_GRID_COMMANDS = {
+    "gamma": (False, "tau", 200,
+              "decoherence function table (closed form vs quadrature)",
+              {"gamma_closed":
+                   lambda src, taus: gamma_closed_array(src.bath1, taus),
+               "gamma_quadrature": _gamma_quadrature}),
+    "fig1": (True, "tau", 200,
+             "time-resolved visibility of the three reference baths",
+             {"nu": visibility}),
+    "fig2": (True, "delta", 200,
+             "windowed visibility of the three reference baths",
+             {"nu": windowed_visibility}),
+    "visibility": (False, "tau", 200, "time-resolved visibility curve",
+                   {"nu": visibility}),
+    "windowed": (False, "delta", 100, "windowed visibility curve",
+                 {"nu": windowed_visibility}),
+}
 
-def cmd_curve(args) -> int:
-    """fig1, fig2, visibility and windowed: one array call per column.
 
-    The figures hold one column per reference bath, the single curves one
-    for the bath of --bath; the grid is tau for nu and Delta for nu'.
+def cmd_table(args) -> int:
+    """Every command of _GRID_COMMANDS: one array call per column and bath.
+
+    A figure names its columns by bath, nu_ohmic, nu_superohmic and so on.
     """
-    if args.figure:
-        baths = [_bath(args, f) for f in _FIGURE_BATHS]
-        names = [f"nu_{f}" for f in _FIGURE_BATHS]
-    else:
-        baths, names = [_bath(args)], ["nu"]
-    if args.windowed:
-        grid, kernel, axis = _delta_grid(args), windowed_visibility, "delta"
-    else:
-        grid, kernel, axis = _tau_grid(args), visibility, "tau"
-    # nu and nu' do not depend on the decay rate, so any g will do
-    columns = [kernel(SourceConfig.identical_sources(DEFAULT_G, bath), grid)
-               for bath in baths]
-    _write_csv(args.out, [axis, *names], zip(grid, *columns))
+    figure, axis, _, _, kernels = _GRID_COMMANDS[args.command]
+    baths = ([(f"_{f}", _bath(args, f)) for f in _FIGURE_BATHS] if figure
+             else [("", _bath(args))])
+    grid = _tau_grid(args) if axis == "tau" else _delta_grid(args)
+    header, columns = [axis], []
+    for name, kernel in kernels.items():
+        for suffix, bath in baths:
+            # Gamma, nu and nu' do not depend on the decay rate: any g will do
+            src = SourceConfig.identical_sources(DEFAULT_G, bath)
+            header.append(name + suffix)
+            columns.append(kernel(src, grid))
+    _write_csv(args.out, header, zip(grid, *columns))
     return EXIT_OK
 
 
@@ -219,21 +233,6 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-# the commands that write one curve table: name, function, whether the
-# columns are the three reference baths (else the bath of --bath), the grid
-# (tau, or window widths Delta), the default --points, and the help
-_GRID_COMMANDS = (
-    ("gamma", cmd_gamma, False, "tau", 200,
-     "decoherence function table (closed form vs quadrature)"),
-    ("fig1", cmd_curve, True, "tau", 200,
-     "time-resolved visibility of the three reference baths"),
-    ("fig2", cmd_curve, True, "delta", 200,
-     "windowed visibility of the three reference baths"),
-    ("visibility", cmd_curve, False, "tau", 200, "time-resolved visibility curve"),
-    ("windowed", cmd_curve, False, "delta", 100, "windowed visibility curve"),
-)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="homsim",
@@ -242,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "the bath cutoff frequency.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, func, figure, grid, points, help_ in _GRID_COMMANDS:
+    for name, (figure, grid, points, help_, _) in _GRID_COMMANDS.items():
         p = sub.add_parser(name, help=help_)
         if figure:
             p.add_argument("--A", type=float, default=DEFAULT_A)
@@ -257,9 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--points", type=int, default=points)
         p.add_argument("--out", **({"default": f"{name}.csv"} if figure
                                    else {"required": True}))
-        p.set_defaults(func=func)
-        if func is cmd_curve:
-            p.set_defaults(figure=figure, windowed=grid == "delta")
+        p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("simulate", help="draw Monte Carlo click records")
     _bath_args(p)

@@ -35,8 +35,13 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 _GL_NODES = 0.5 * (_GL_NODES + 1.0)  # on [0, 1]
 _GL_WEIGHTS = 0.5 * _GL_WEIGHTS
 _LADDER_LO = -50  # the first panel is [0, 2^-50]
-# e^{-g tau} < 1e-26 beyond g tau = 60, so the weighted rule stops there
+# e^{-g tau} < 1e-26 beyond g tau = 60, so the weighted rule stops there,
+# or at 2^1000 if that is nearer: 60/g overflows for g < 3.4e-307.  nu(tau)
+# has settled long before 2^1000, so that cap moves nu_ps by about
+# int |nu - nu(inf)| dtau / 2^1000, and the Markovian rate law stays finite
+# there up to A = 5e6
 _WEIGHT_TAIL = 60.0
+_WINDOW_MAX = 2.0 ** 1000
 
 
 def _window_integrals(src: SourceConfig, deltas: np.ndarray, weight):
@@ -119,7 +124,7 @@ def postselected_visibility(src: SourceConfig, delta):
     if not (delta > 0).all():
         raise ValueError(f"window width must be > 0, got {delta}")
     g = src.g
-    delta = np.minimum(delta, _WEIGHT_TAIL / g)
+    delta = np.minimum(delta, min(_WEIGHT_TAIL / g, _WINDOW_MAX))
     mass = delta * scipy.special.exprel(-g * delta)
     return _scalar_or_array(
         np.minimum(_window_integrals(src, delta, lambda t: np.exp(-g * t))

@@ -331,11 +331,25 @@ def _json_number(x) -> float:
     raise TypeError(f"a record time must be a JSON number, got {x!r}")
 
 
+def _detector(x) -> int:
+    if x in _SIGNS:
+        return _SIGNS.index(x)
+    raise ValueError(f'detector must be "+" or "-", got {json.dumps(x)}')
+
+
+def _json_object(line) -> dict:
+    obj = json.loads(line)
+    # indexing any other JSON value by key is also a TypeError, a vaguer one
+    if type(obj) is not dict:
+        raise TypeError(f"a record must be a JSON object, got {json.dumps(obj)}")
+    return obj
+
+
 def _line_rows(lines) -> np.ndarray:
     """Records of JSONL lines, one json.loads per line; blank lines skipped."""
-    objs = (json.loads(line) for line in lines if line.strip())
-    return np.fromiter(((_json_number(o["t1"]), _SIGNS.index(o["d1"]),
-                         _json_number(o["tau"]), _SIGNS.index(o["d2"]))
+    objs = (_json_object(line) for line in lines if line.strip())
+    return np.fromiter(((_json_number(o["t1"]), _detector(o["d1"]),
+                         _json_number(o["tau"]), _detector(o["d2"]))
                         for o in objs), _RECORD)
 
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
@@ -315,8 +315,13 @@ _TAU = st.floats(1e-3, 1e3)
 class TestKernelProperties:
     """The exact kernels against the quadrature oracle over random baths."""
 
+    # exponents far outside the drawn range: the oracles' last panel and
+    # the powers w^(n-2) must follow n
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(n=_EXPONENT, theta=_THETA, tau=_TAU)
+    @example(n=25.0, theta=10.0, tau=2.5)
+    @example(n=60.0, theta=1.0, tau=7.5)
+    @example(n=150.0, theta=300.0, tau=0.01)
     def test_gamma_matches_quadrature(self, n, theta, tau):
         bath = BathSpec(BathFamily.POWER_LAW, 0.5, theta, n=n)
         quad = gamma_quadrature(bath, tau)
@@ -326,6 +331,9 @@ class TestKernelProperties:
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(n=_EXPONENT, theta=_THETA, t1=st.floats(0.0, 1e3), tau=_TAU)
+    @example(n=25.0, theta=10.0, t1=3.0, tau=7.0)
+    @example(n=60.0, theta=0.5, t1=0.0, tau=0.1)
+    @example(n=150.0, theta=10.0, t1=100.0, tau=0.05)
     def test_lambda_matches_quadrature(self, n, theta, t1, tau):
         bath = BathSpec(BathFamily.POWER_LAW, 0.5, theta, n=n)
         quad = lambda_phase(bath, t1, t1 + tau)

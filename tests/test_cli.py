@@ -155,15 +155,13 @@ _PARSED_DEFAULTS = {
     "gamma": (["--out", "o"], {**_BATH_DEFAULTS, **_TAU_GRID, "points": 200,
                                "out": "o"}),
     "fig1": ([], {"A": 0.5, "theta": 10.0, **_TAU_GRID, "points": 200,
-                  "out": "fig1.csv", "figure": True, "windowed": False}),
+                  "out": "fig1.csv"}),
     "fig2": ([], {"A": 0.5, "theta": 10.0, **_DELTA_GRID, "points": 200,
-                  "out": "fig2.csv", "figure": True, "windowed": True}),
+                  "out": "fig2.csv"}),
     "visibility": (["--out", "o"], {**_BATH_DEFAULTS, **_TAU_GRID,
-                                    "points": 200, "out": "o",
-                                    "figure": False, "windowed": False}),
+                                    "points": 200, "out": "o"}),
     "windowed": (["--out", "o"], {**_BATH_DEFAULTS, **_DELTA_GRID,
-                                  "points": 100, "out": "o", "figure": False,
-                                  "windowed": True}),
+                                  "points": 100, "out": "o"}),
     "simulate": (["--n", "5", "--seed", "1", "--out", "o"],
                  {**_BATH_DEFAULTS, "g": 0.01, "n": 5, "seed": 1,
                   "workers": 1, "out": "o"}),
@@ -179,8 +177,8 @@ class TestParser:
         required, expected = _PARSED_DEFAULTS[command]
         parsed = vars(cli.build_parser().parse_args([command, *required]))
         assert parsed.pop("func") is {
-            "gamma": cli.cmd_gamma, "simulate": cli.cmd_simulate,
-            "analyze": cli.cmd_analyze}.get(command, cli.cmd_curve)
+            "simulate": cli.cmd_simulate,
+            "analyze": cli.cmd_analyze}.get(command, cli.cmd_table)
         assert parsed == {"command": command, **expected}
 
     @pytest.mark.parametrize("command", sorted(_PARSED_DEFAULTS))
@@ -410,6 +408,22 @@ class TestSimulateAnalyze:
         assert cli.main(["analyze", "--records", str(rec),
                          "--delta", "1"]) == cli.EXIT_IO
         assert "malformed record file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, problem", [
+        ('{"t1": 0.1, "d1": 1, "tau": 1.0, "d2": "+"}',
+         'detector must be "+" or "-", got 1'),
+        ('{"t1": 0.1, "d1": "+", "tau": 1.0, "d2": "x"}',
+         'detector must be "+" or "-", got "x"'),
+        ("[1, 2]", "a record must be a JSON object, got [1, 2]"),
+        ("5", "a record must be a JSON object, got 5"),
+        ("null", "a record must be a JSON object, got null")])
+    def test_analyze_names_the_problem(self, tmp_path, capsys, line, problem):
+        rec = tmp_path / "r.jsonl"
+        rec.write_text(line + "\n")
+        assert cli.main(["analyze", "--records", str(rec),
+                         "--delta", "1"]) == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert "malformed record file" in err and problem in err
 
     def test_analyze_empty_selection(self, tmp_path, capsys):
         rec = tmp_path / "r.jsonl"

@@ -208,6 +208,20 @@ class TestWindowed:
         for g in (1e-4, 0.01, 1.0):
             assert postselected_visibility(src_of(bath, g), 5e-324) == 1.0
 
+    @pytest.mark.parametrize("bath", [OHMIC, SUPER, MARKOV,
+                                      BathSpec(BathFamily.POWER_LAW, 0.5,
+                                               10.0, n=2.5)],
+                             ids=["ohmic", "superohmic", "markovian",
+                                  "powerlaw"])
+    @pytest.mark.parametrize("g", [5e-324, 1e-310, 3e-307])
+    def test_infinite_window_tiny_rate(self, bath, g):
+        # 60/g overflows here; the window stops at a finite width instead of
+        # forming inf * 0 (RuntimeWarning is an error under this suite)
+        value = postselected_visibility(src_of(bath, g), math.inf)
+        assert 0.0 <= value <= 1.0
+        if bath is MARKOV:
+            assert value == pytest.approx(g / (g + math.pi / 10), abs=1e-12)
+
     def test_postselected_markovian_closed_form(self):
         # g (1 - e^{-(g + k) Delta}) / ((g + k)(1 - e^{-g Delta})),
         # with k = 2 A pi / theta
