@@ -211,9 +211,9 @@ def _checked(kind: str, value: float, err: float) -> float:
 
 
 def _spectral_panels(n: float):
-    """(end, r, u, c): where the quadrature oracles end their last panel for
-    exponent n, and the form c (r w)^p e^(u-w) of w^p e^-w, p = n - 2, whose
-    factors are finite on [0, end].
+    """(end, p, r, u, c): where the quadrature oracles end their last panel
+    for exponent n, p = n - 2, and the form c (r w)^p e^(u-w) of w^p e^-w
+    whose factors are finite on [0, end].
 
     J/w^2 = A w^p e^-w peaks at w = p, and the share of its integral past
     the end is Q(n - 1, end), the regularized upper incomplete gamma
@@ -227,8 +227,8 @@ def _spectral_panels(n: float):
     """
     end, p = 60.0 + 2.0 * max(0.0, n - 10.0), n - 2
     if p * math.log(end) < _LOG_MAX:
-        return end, 1.0, 0.0, 1.0
-    return end, 1.0 / p, p, math.exp(p * math.log(p) - p)
+        return end, p, 1.0, 0.0, 1.0
+    return end, p, 1.0 / p, p, math.exp(p * math.log(p) - p)
 
 
 def _quad(f, lo, hi, **weight):
@@ -262,16 +262,16 @@ def gamma_quadrature(bath: BathSpec, tau: float) -> DecoherenceValue:
     if tau == 0 or bath.A == 0:
         return DecoherenceValue(0.0, GammaMethod.QUADRATURE, 0.0)
 
-    A, n, theta = bath.A, bath.n, bath.theta
-    end, r, u, c = _spectral_panels(n)
+    A, theta = bath.A, bath.theta
+    end, p, r, u, c = _spectral_panels(bath.n)
 
     def full(w):
         # 2 sin^2(w tau / 2) = 1 - cos(w tau), stable for small w tau
-        return A * (r * w) ** (n - 2) * math.exp(u - w) \
+        return A * (r * w) ** p * math.exp(u - w) \
             * 2.0 * math.sin(0.5 * w * tau) ** 2 * _coth(0.5 * theta * w)
 
     def envelope(w):
-        return A * (r * w) ** (n - 2) * math.exp(u - w) \
+        return A * (r * w) ** p * math.exp(u - w) \
             * _coth(0.5 * theta * w)
 
     # Keep at most a couple of oscillations in the directly-integrated head.
@@ -390,13 +390,13 @@ def _sine_transform(A, n, t):
     """int_0^inf A w^{n-2} e^{-w} sin(w t) dw, adaptive, t >= 0."""
     if t == 0.0 or A == 0.0:
         return 0.0, 0.0
-    end, r, u, c = _spectral_panels(n)
+    end, p, r, u, c = _spectral_panels(n)
 
     def head_f(w):
-        return A * (r * w) ** (n - 2) * math.exp(u - w) * math.sin(w * t)
+        return A * (r * w) ** p * math.exp(u - w) * math.sin(w * t)
 
     def envelope(w):
-        return A * (r * w) ** (n - 2) * math.exp(u - w)
+        return A * (r * w) ** p * math.exp(u - w)
 
     cut = min(1.0, 10.0 / max(t, 1.0))
     head, e1 = _quad(head_f, 0.0, cut)
