@@ -67,7 +67,8 @@ __all__ = [
     "spectral_density",
 ]
 
-_QUAD_OPTS = {"limit": 400, "epsabs": 1e-12, "epsrel": 1e-12}
+# full_output quiets QUADPACK's warning: _checked is the verdict on the error
+_QUAD_OPTS = {"limit": 400, "epsabs": 1e-12, "epsrel": 1e-12, "full_output": 1}
 # gamma_quadrature and lambda_phase must reach this bound, relative to
 # max(1, |value|), or report failure.
 _ERR_CEILING = 1e-9
@@ -196,8 +197,7 @@ def _require_integrable(bath: BathSpec, op: str):
     if bath.family is BathFamily.MARKOVIAN:
         raise ValueError(f"{op}: Markovian bath has no spectral-density integral")
     if bath.n < 1:
-        raise ValueError(
-            f"{op}: integral diverges for spectral exponent n = {bath.n} < 1")
+        raise ValueError(f"{op} covers exponents n >= 1, got n = {bath.n}")
 
 
 def _checked(kind: str, value: float, err: float) -> float:
@@ -241,7 +241,7 @@ def _quad(f, lo, hi, **weight):
     QuadratureError.
     """
     try:
-        return scipy.integrate.quad(f, lo, hi, **weight, **_QUAD_OPTS)
+        return scipy.integrate.quad(f, lo, hi, **weight, **_QUAD_OPTS)[:2]
     except ZeroDivisionError as exc:
         raise QuadratureError(f"quadrature node at w = 0: {exc}") from exc
 
@@ -350,6 +350,8 @@ def _series_gamma(A, n, theta, taus):
     return A * scipy.special.gamma(s) * out.reshape(taus.shape)
 
 
+# extreme but finite A or theta can overflow a kernel; the finite check refuses
+@np.errstate(over="ignore", invalid="ignore")
 def gamma_closed_array(bath: BathSpec, taus) -> np.ndarray:
     """Exact decoherence function over an array of click separations.
 
@@ -369,7 +371,11 @@ def gamma_closed_array(bath: BathSpec, taus) -> np.ndarray:
             out = _ohmic_gamma(A, theta, taus)
         else:
             out = _series_gamma(A, bath.n, theta, taus)
-    # extreme but finite A or theta can overflow a kernel to inf or NaN
+    if bath.family is BathFamily.MARKOVIAN and not np.isfinite(out).all():
+        # A pi tau may overflow where Gamma does not: rescale it by 2^k
+        (a, i), (t, j), (h, k) = map(np.frexp, (A, taus, theta))
+        out = np.where(np.isinf(out), np.ldexp(a * np.pi * t / h, i + j - k),
+                       out)
     if not np.isfinite(out).all():
         raise FloatingPointError(f"Gamma overflows for {bath}")
     return np.maximum(out, 0.0)
@@ -427,6 +433,8 @@ def lambda_phase(bath: BathSpec, t1: float, t2: float) -> float:
     return _checked("lambda", total, err)
 
 
+# A tau Gamma(n) grows where Gamma saturates; the finite check refuses an inf
+@np.errstate(over="ignore", invalid="ignore")
 def _lambda(bath: BathSpec, t1, t2):
     _require_integrable(bath, "lambda_phase_closed")
     t1, t2 = _ordered(t1, t2)
@@ -444,7 +452,6 @@ def _lambda(bath: BathSpec, t1, t2):
     tau = t2 - t1
     out = bath.A * (tau * scipy.special.gamma(bath.n) + 2 * sine(t1)
                     - 2 * sine(t2) + sine(tau))
-    # A tau Gamma(n) grows where Gamma saturates; inf would make kappa NaN
     if not np.isfinite(out).all():
         raise FloatingPointError(f"Lambda overflows for {bath}")
     return out

@@ -3,8 +3,9 @@
 All flags are dimensionless, in units of the bath cutoff frequency omega_c
 (times are omega_c*t, rates are gamma/omega_c, theta = omega_c*beta).
 
-Exit codes, all decided in main: 0 success, 2 bad usage (any ValueError),
-3 numerical failure, 4 I/O failure, 5 empty post-selection.
+Exit codes, all decided in main from the exception alone, since the library
+raises without a numpy or scipy warning first: 0 success, 2 bad usage (any
+ValueError), 3 numerical failure, 4 I/O failure, 5 empty post-selection.
 """
 
 from __future__ import annotations
@@ -17,10 +18,8 @@ import os
 import secrets
 import stat
 import sys
-import warnings
 
 import numpy as np
-import scipy
 
 from . import trajectories
 from .bath import (BathFamily, BathSpec, QuadratureError, gamma_closed_array,
@@ -58,14 +57,16 @@ def _bath(args, family=None) -> BathSpec:
     bath = BathSpec(family=BathFamily(family or args.bath), A=args.A,
                     theta=args.theta, n=None if family else args.exponent)
     if bath.n is not None and bath.n < 1:
-        raise ValueError(f"Gamma diverges for --exponent {bath.n} < 1")
+        raise ValueError(f"--exponent must be >= 1, got {bath.n}")
     return bath
 
 
 def _grid(space, start, stop, num) -> np.ndarray:
     """space(start, stop, num); a grid numpy refuses to allocate is bad usage."""
     try:
-        return space(start, stop, num)
+        # np.linspace's own arithmetic can overflow where no point does
+        with np.errstate(over="ignore"):
+            return space(start, stop, num)
     except (MemoryError, ValueError) as exc:
         raise ValueError(f"a grid of {num} points is too large: {exc}") from exc
 
@@ -97,14 +98,6 @@ class _IOFailure(Exception):
     """A record file that cannot be parsed; an OSError exits the same way."""
 
 
-def _gamma_quadrature(src, taus):
-    with warnings.catch_warnings():
-        # gamma_quadrature checks its own error bound and a failure exits 3
-        # with one line, so QUADPACK's warning would only repeat it
-        warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
-        return [gamma_quadrature(src.bath1, float(t)).gamma_big for t in taus]
-
-
 _FIGURE_BATHS = ("ohmic", "superohmic", "markovian")
 
 # the commands that write one curve table, by name: whether the columns
@@ -116,7 +109,8 @@ _GRID_COMMANDS = {
               "decoherence function table (closed form vs quadrature)",
               {"gamma_closed":
                    lambda src, taus: gamma_closed_array(src.bath1, taus),
-               "gamma_quadrature": _gamma_quadrature}),
+               "gamma_quadrature": lambda src, taus: [
+                   gamma_quadrature(src.bath1, t).gamma_big for t in taus]}),
     "fig1": (True, "tau", 200,
              "time-resolved visibility of the three reference baths",
              {"nu": visibility}),
@@ -287,9 +281,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # a NaN or inf result exits 3 below, so numpy's warnings are noise
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return args.func(args)
+        return args.func(args)
     except ValueError as exc:  # a parameter the CLI or the library refused
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

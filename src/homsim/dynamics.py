@@ -110,11 +110,12 @@ def coherence(src: SourceConfig, t1, tau):
     # Gamma depends on tau alone; adding zero broadcasts it against t1
     zero = np.zeros(np.broadcast(t1, tau).shape)
     g1 = gamma_closed_array(src.bath1, tau)
-    if src.identical:
-        return np.exp(-2.0 * g1) + zero, zero
-    g2 = gamma_closed_array(src.bath2, tau)
-    return (np.exp(-(g1 + g2)) + zero,
-            phi_phase(src.bath1, src.bath2, t1, t1 + tau))
+    g2 = g1 if src.identical else gamma_closed_array(src.bath2, tau)
+    phi = (zero if src.identical
+           else phi_phase(src.bath1, src.bath2, t1, t1 + tau))
+    # a sum past the float range is inf, and e^-inf = 0 the exact magnitude
+    with np.errstate(over="ignore"):
+        return np.exp(-(g1 + g2)) + zero, phi
 
 
 def coherence_factor(src: SourceConfig, t1, tau):

@@ -1,6 +1,7 @@
 """Bath module: spectral densities, decoherence and phase functions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,13 +16,16 @@ from homsim.bath import (BathFamily, BathSpec, DecoherenceValue, GammaMethod,
 from homsim.dynamics import (SourceConfig, coherence, coherence_factor,
                              conditional_state, first_click_density,
                              second_click_density, survival_probability)
-from homsim.interference import visibility, visibility_nonidentical
+from homsim.interference import (postselected_visibility, visibility,
+                                 visibility_nonidentical, windowed_visibility)
 from homsim.trajectories import simulate_ensemble
 
 OHMIC = BathSpec(BathFamily.OHMIC, 0.5, 10.0)
 SUPER = BathSpec(BathFamily.SUPEROHMIC, 0.5, 10.0)
 MARKOV = BathSpec(BathFamily.MARKOVIAN, 0.5, 10.0)
 _HUGE_SUPER = BathSpec(BathFamily.SUPEROHMIC, 1e300, 1.0)
+_VANISHING = SourceConfig.identical_sources(
+    0.01, BathSpec(BathFamily.SUPEROHMIC, 1e308, 10.0))
 
 
 def _pair(g):
@@ -137,7 +141,6 @@ class TestGammaQuadrature:
     # the oscillatory panels from 10/tau then put a node at w = 0, where
     # w^(n - 2) has no value for n < 2, and Gamma's coth(theta w / 2) none for
     # any n; Lambda's integrand has no pole there for n >= 2
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     @pytest.mark.parametrize("oracle, n", [
         pytest.param(oracle, n, id=f"{name}-{n}")
         for name, oracle, exponents in (
@@ -150,7 +153,6 @@ class TestGammaQuadrature:
             oracle(BathSpec(BathFamily.POWER_LAW, 0.5, 10.0, n=n))
 
     # inf meets any bound relative to the value, so it must fail by itself
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     @pytest.mark.parametrize("oracle, family, message", [
         (lambda bath: gamma_quadrature(bath, 1.0), BathFamily.OHMIC,
          "gave a non-finite value"),
@@ -160,8 +162,7 @@ class TestGammaQuadrature:
          "inf absolute error")],
         ids=["gamma-ohmic", "gamma-superohmic", "lambda-ohmic"])
     def test_unbounded_value_is_quadrature_error(self, oracle, family, message):
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(QuadratureError, match=message):
+        with pytest.raises(QuadratureError, match=message):
             oracle(BathSpec(family, 1e308, 1.0))
 
     @pytest.mark.parametrize("tau", [0.5, 50.0])
@@ -258,9 +259,20 @@ class TestGammaClosed:
         ids=["markov", "superohmic"])
     def test_overflow_raises(self, bath, tau):
         # inf * 0 in the rate law; theta ** k overflows in the series weights
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(FloatingPointError, match="overflows"):
+        with pytest.raises(FloatingPointError, match="overflows"):
             gamma_value(bath, tau)
+
+    def test_rate_law_finite_past_product_overflow(self):
+        # A pi tau overflows, A pi tau / theta does not; wherever A pi tau is
+        # finite the rate law keeps its order of operations bit for bit
+        big = np.finfo(float).max
+        assert gamma_value(MARKOV, big) == \
+            pytest.approx(0.5 * math.pi * (big / 10.0), rel=1e-15)
+        assert gamma_value(BathSpec(BathFamily.MARKOVIAN, 1e308, 10.0), 1.0) \
+            == pytest.approx(math.pi * 1e307, rel=1e-15)
+        taus = np.r_[0.0, 5e-324, np.geomspace(1e-300, 1e300, 601), 1e308]
+        np.testing.assert_array_equal(gamma_closed_array(MARKOV, taus),
+                                      0.5 * np.pi * taus / 10.0)
 
     @pytest.mark.parametrize("tau", [1e150, 1e155, 1e200, 1e300])
     @pytest.mark.parametrize("n", [1.0, 2.0, 2.5, 3.0])
@@ -399,8 +411,7 @@ class TestLambdaPhase:
         lambda: simulate_ensemble(1, 4096, _pair(1e-12))],
         ids=["lambda", "visibility", "records"])
     def test_overflow_raises(self, call):
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(FloatingPointError, match="overflows"):
+        with pytest.raises(FloatingPointError, match="overflows"):
             call()
 
     def test_uncoupled_is_zero_where_gamma_n_overflows(self):
@@ -423,6 +434,35 @@ class TestLambdaPhase:
         np.testing.assert_array_equal(
             lambda_phase_closed(bath, t1, t2),
             [lambda_phase_closed(bath, a, b) for a, b in zip(t1, t2)])
+
+
+class TestNoWarningBeforeVerdict:
+    # with every warning an error, the library's result or its own exception
+    # arrives, with no numpy or scipy warning first; 2 Gamma of _VANISHING
+    # passes the float range, and e^-inf = 0 is the exact visibility
+    @pytest.mark.parametrize("call, verdict", [
+        (lambda: visibility(_VANISHING, 1.0), 0.0),
+        (lambda: windowed_visibility(_VANISHING, 1.0), 0.0),
+        (lambda: postselected_visibility(_VANISHING, 1.0), 0.0),
+        (lambda: lambda_phase_closed(
+            BathSpec(BathFamily.POWER_LAW, 0.5, 10.0, n=171.6), 3.0, 10.0),
+         FloatingPointError),
+        (lambda: gamma_value(BathSpec(BathFamily.MARKOVIAN, 1e308, 1e-300),
+                             0.0), FloatingPointError),
+        (lambda: gamma_value(BathSpec(BathFamily.SUPEROHMIC, 0.5, 1e300),
+                             1.0), FloatingPointError),
+        (lambda: simulate_ensemble(1, 4096, _pair(1e-12)),
+         FloatingPointError)],
+        ids=["visibility", "windowed", "postselected", "lambda", "markov",
+             "superohmic", "records"])
+    def test_result_or_own_exception(self, call, verdict):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if verdict is FloatingPointError:
+                with pytest.raises(FloatingPointError, match="overflows"):
+                    call()
+            else:
+                assert call() == verdict
 
 
 class TestPhiPhase:

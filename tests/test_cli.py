@@ -273,6 +273,15 @@ class TestFigures:
         _, rows = read_csv(out)
         assert [(float(r[1]), float(r[3])) for r in rows[1:]] == [(0.0, 0.0)] * 2
 
+    def test_rate_law_finite_past_product_overflow(self, tmp_path, capsys):
+        # A pi tau overflows at the last tau, Gamma = A pi tau / theta does not
+        out = tmp_path / "fig1.csv"
+        assert cli.main(["fig1", "--tau-max", "1.7976931348623157e308",
+                         "--points", "3", "--out", str(out)]) == cli.EXIT_OK
+        assert capsys.readouterr().err == ""
+        _, rows = read_csv(out)
+        assert [float(r[3]) for r in rows] == [1.0, 0.0, 0.0]
+
     @pytest.mark.parametrize("argv", [
         ["fig1", "--A", "1e308", "--points", "3"],
         ["fig2", "--theta", "1e300", "--points", "3"],
@@ -787,6 +796,9 @@ class TestCurveExitCodes:
     @example(argv=["fig1", "--A", "1e308", "--points", "3"])
     @example(argv=["fig2", "--theta", "1e300", "--points", "3"])
     @example(argv=["visibility", "--bath", "powerlaw", "--exponent", "0.5"])
+    # np.linspace overflows in its own arithmetic on this finite grid
+    @example(argv=["visibility", "--bath", "markovian", "--tau-max",
+                   "1.7976931348623157e308", "--points", "7"])
     def test_documented_code_without_traceback(self, argv):
         with tempfile.TemporaryDirectory() as tmp:
             out = os.path.join(tmp, "curve.csv")
