@@ -60,6 +60,7 @@ __all__ = [
     "gamma_closed",
     "gamma_closed_array",
     "gamma_quadrature",
+    "gamma_quadrature_array",
     "gamma_value",
     "lambda_phase",
     "lambda_phase_closed",
@@ -186,13 +187,6 @@ def spectral_density(bath: BathSpec, omega):
     return _scalar_or_array(bath.A * omega ** bath.n * np.exp(-omega))
 
 
-def _coth(x):
-    # math, not numpy: the quadrature integrands call this once per node on a
-    # Python float, where one numpy ufunc call costs as much as the rest of
-    # the integrand
-    return 1.0 / math.tanh(x)
-
-
 def _require_integrable(bath: BathSpec, op: str):
     if bath.family is BathFamily.MARKOVIAN:
         raise ValueError(f"{op}: Markovian bath has no spectral-density integral")
@@ -246,47 +240,72 @@ def _quad(f, lo, hi, **weight):
         raise QuadratureError(f"quadrature node at w = 0: {exc}") from exc
 
 
-def gamma_quadrature(bath: BathSpec, tau: float) -> DecoherenceValue:
-    """Decoherence function by adaptive quadrature over (0, inf).
+def gamma_quadrature_array(bath: BathSpec, taus):
+    """Decoherence function by adaptive quadrature over (0, inf), with its
+    absolute error estimate, at each click separation: (values, errors).
 
     The integrand (J/w^2)(1-cos w tau) coth(theta w/2) has a removable
     w -> 0 singularity (it behaves as A tau^2 w^{n-1} / theta); the
     oscillatory tail is handled with a cosine-weighted rule.  The thermal
     factor turns over at the knee w = 2/theta and is flat to 1e-17 beyond
     40/theta; panels are split at both points, so that no panel is wide
-    enough for its error estimate to miss the turnover.
+    enough for its error estimate to miss the turnover.  The tail's
+    unweighted integral does not depend on tau, so each distinct tail panel
+    is integrated once per call.  A QuadratureError names the tau it
+    failed at.
     """
     _require_integrable(bath, "gamma_quadrature")
-    # a Python float keeps the integrand's scalar arithmetic fast
-    tau = float(_times(tau))
-    if tau == 0 or bath.A == 0:
-        return DecoherenceValue(0.0, GammaMethod.QUADRATURE, 0.0)
+    taus = np.asarray(_times(taus))
+    values, errors = np.zeros(taus.shape), np.zeros(taus.shape)
+    if bath.A == 0:
+        return values, errors
 
     A, theta = bath.A, bath.theta
     end, p, r, u, c = _spectral_panels(bath.n)
+    knees = {2.0 / theta, 40.0 / theta}
+    tails = {}  # (lo, hi) -> the envelope's integral over that tail panel
 
-    def full(w):
-        # 2 sin^2(w tau / 2) = 1 - cos(w tau), stable for small w tau
-        return A * (r * w) ** p * math.exp(u - w) \
-            * 2.0 * math.sin(0.5 * w * tau) ** 2 * _coth(0.5 * theta * w)
-
+    # math, not numpy, throughout the integrands: QUADPACK calls them once
+    # per node on a Python float, where one numpy ufunc call costs as much as
+    # the rest of the integrand
     def envelope(w):
         return A * (r * w) ** p * math.exp(u - w) \
-            * _coth(0.5 * theta * w)
+            * (1.0 / math.tanh(0.5 * theta * w))
 
-    # Keep at most a couple of oscillations in the directly-integrated head.
-    cut = min(1.0, 10.0 / max(tau, 1.0))
-    knees = {2.0 / theta, 40.0 / theta}
-    head = sorted({0.0, cut} | {k for k in knees if k < cut})
-    tail = sorted({cut, end} | {k for k in knees if cut < k < end})
-    parts = [_quad(full, lo, hi) for lo, hi in zip(head, head[1:])]
-    for lo, hi in zip(tail, tail[1:]):
-        parts.append(_quad(envelope, lo, hi))
-        osc, e = _quad(envelope, lo, hi, weight="cos", wvar=tau)
-        parts.append((-osc, e))
-    err = c * sum(e for _, e in parts)
-    value = _checked("gamma", c * math.fsum(v for v, _ in parts), err)
-    return DecoherenceValue(max(value, 0.0), GammaMethod.QUADRATURE, err)
+    def one(tau):
+        def full(w):
+            # 2 sin^2(w tau / 2) = 1 - cos(w tau), stable for small w tau
+            return A * (r * w) ** p * math.exp(u - w) \
+                * 2.0 * math.sin(0.5 * w * tau) ** 2 \
+                * (1.0 / math.tanh(0.5 * theta * w))
+
+        # Keep at most a couple of oscillations in the directly-integrated head.
+        cut = min(1.0, 10.0 / max(tau, 1.0))
+        head = sorted({0.0, cut} | {k for k in knees if k < cut})
+        tail = sorted({cut, end} | {k for k in knees if cut < k < end})
+        parts = [_quad(full, lo, hi) for lo, hi in zip(head, head[1:])]
+        for lo, hi in zip(tail, tail[1:]):
+            if (lo, hi) not in tails:
+                tails[lo, hi] = _quad(envelope, lo, hi)
+            parts.append(tails[lo, hi])
+            osc, e = _quad(envelope, lo, hi, weight="cos", wvar=tau)
+            parts.append((-osc, e))
+        err = c * sum(e for _, e in parts)
+        return _checked("gamma", c * math.fsum(v for v, _ in parts), err), err
+
+    # a Python float keeps the integrands' scalar arithmetic fast
+    for i, tau in enumerate(taus.ravel().tolist()):
+        if tau != 0:
+            value, errors.flat[i] = one(tau)
+            values.flat[i] = max(value, 0.0)
+    return values, errors
+
+
+def gamma_quadrature(bath: BathSpec, tau: float) -> DecoherenceValue:
+    """Decoherence function by adaptive quadrature at one click separation;
+    see gamma_quadrature_array."""
+    value, err = gamma_quadrature_array(bath, tau)
+    return DecoherenceValue(float(value), GammaMethod.QUADRATURE, float(err))
 
 
 def _log1p_sq(x):

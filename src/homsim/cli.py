@@ -23,7 +23,7 @@ import numpy as np
 
 from . import trajectories
 from .bath import (BathFamily, BathSpec, QuadratureError, gamma_closed_array,
-                   gamma_quadrature)
+                   gamma_quadrature_array)
 from .dynamics import SourceConfig
 from .interference import visibility, windowed_visibility
 from .trajectories import EmptySelectionError, Window
@@ -109,8 +109,8 @@ _GRID_COMMANDS = {
               "decoherence function table (closed form vs quadrature)",
               {"gamma_closed":
                    lambda src, taus: gamma_closed_array(src.bath1, taus),
-               "gamma_quadrature": lambda src, taus: [
-                   gamma_quadrature(src.bath1, t).gamma_big for t in taus]}),
+               "gamma_quadrature":
+                   lambda src, taus: gamma_quadrature_array(src.bath1, taus)[0]}),
     "fig1": (True, "tau", 200,
              "time-resolved visibility of the three reference baths",
              {"nu": visibility}),

@@ -1,5 +1,6 @@
 """Bath module: spectral densities, decoherence and phase functions."""
 
+import collections
 import math
 import warnings
 
@@ -9,10 +10,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from homsim import bath as bath_module
 from homsim.bath import (BathFamily, BathSpec, DecoherenceValue, GammaMethod,
                          QuadratureError, gamma_closed, gamma_closed_array,
-                         gamma_quadrature, gamma_value, lambda_phase,
-                         lambda_phase_closed, phi_phase, spectral_density)
+                         gamma_quadrature, gamma_quadrature_array, gamma_value,
+                         lambda_phase, lambda_phase_closed, phi_phase,
+                         spectral_density)
 from homsim.dynamics import (SourceConfig, coherence, coherence_factor,
                              conditional_state, first_click_density,
                              second_click_density, survival_probability)
@@ -178,6 +181,44 @@ class TestGammaQuadrature:
         quad = gamma_quadrature(bath, tau)
         closed = gamma_closed(bath, tau).gamma_big
         assert abs(closed - quad.gamma_big) <= quad.est_abs_error + 1e-14
+
+    @pytest.mark.parametrize("bath", [
+        OHMIC, SUPER, BathSpec(BathFamily.POWER_LAW, 0.5, 1.0, n=2.5),
+        BathSpec(BathFamily.POWER_LAW, 0.5, 300.0, n=25.0)],
+        ids=["ohmic", "super", "powerlaw-2.5", "powerlaw-25"])
+    def test_array_is_the_scalar_oracle(self, bath):
+        # the tail panels one table shares leave every value and error bound
+        # bit for bit what a call per tau gives
+        taus = np.array([0.0, 0.3, 1.0, 2.5, 10.0, 40.0, 1e3])
+        values, errors = gamma_quadrature_array(bath, taus)
+        scalars = [gamma_quadrature(bath, tau) for tau in taus]
+        np.testing.assert_array_equal(values, [v.gamma_big for v in scalars])
+        np.testing.assert_array_equal(errors,
+                                      [v.est_abs_error for v in scalars])
+
+    # the unweighted tail integrals do not depend on tau, and every tau <= 10
+    # has the same panels: [1, end] split at the knees 2/theta and 40/theta
+    @pytest.mark.parametrize("theta, panels", [(1.0, 3), (10.0, 2), (100.0, 1)])
+    def test_tail_panels_integrated_once_per_call(self, monkeypatch, theta,
+                                                  panels):
+        calls = collections.Counter()
+        quad = bath_module._quad
+
+        def counting(f, lo, hi, **weight):
+            if f.__name__ == "envelope" and not weight:
+                calls[lo, hi] += 1
+            return quad(f, lo, hi, **weight)
+
+        monkeypatch.setattr(bath_module, "_quad", counting)
+        gamma_quadrature_array(BathSpec(BathFamily.SUPEROHMIC, 0.5, theta),
+                               np.linspace(1.0, 10.0, 100))
+        assert len(calls) == panels
+        assert set(calls.values()) == {1}
+
+    def test_array_failure_is_quadrature_error(self):
+        bath = BathSpec(BathFamily.POWER_LAW, 0.5, 10.0, n=2.0)
+        with pytest.raises(QuadratureError):
+            gamma_quadrature_array(bath, np.array([1.0, 1e18, 2.0]))
 
     def test_powerlaw_general_exponent(self):
         # n = 2 sits between the closed-form families; sanity-bracket it
