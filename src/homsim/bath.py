@@ -296,7 +296,11 @@ def gamma_quadrature_array(bath: BathSpec, taus):
     # a Python float keeps the integrands' scalar arithmetic fast
     for i, tau in enumerate(taus.ravel().tolist()):
         if tau != 0:
-            value, errors.flat[i] = one(tau)
+            try:
+                value, errors.flat[i] = one(tau)
+            except QuadratureError as exc:
+                raise QuadratureError(f"{exc} at tau={tau!r}",
+                                      exc.est_abs_error) from exc
             values.flat[i] = max(value, 0.0)
     return values, errors
 

@@ -217,7 +217,7 @@ class TestGammaQuadrature:
 
     def test_array_failure_is_quadrature_error(self):
         bath = BathSpec(BathFamily.POWER_LAW, 0.5, 10.0, n=2.0)
-        with pytest.raises(QuadratureError):
+        with pytest.raises(QuadratureError, match=r"w = 0.* at tau=1e\+18$"):
             gamma_quadrature_array(bath, np.array([1.0, 1e18, 2.0]))
 
     def test_powerlaw_general_exponent(self):

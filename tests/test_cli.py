@@ -240,6 +240,16 @@ class TestGamma:
         assert "w = 0" in err
         assert not out.exists()
 
+    def test_numerical_failure_names_its_row(self, tmp_path, capsys):
+        # the grid is 0, 5e17, 1e18, and the oracle does all but the last
+        out = tmp_path / "gamma.csv"
+        assert cli.main(["gamma", "--bath", "powerlaw", "--exponent", "2",
+                         "--tau-max", "1e18", "--points", "3", "--out",
+                         str(out)]) == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure") and err.count("\n") == 1
+        assert err.endswith(" at tau=1e+18\n")
+
 
 class TestFigures:
     def test_fig1_starts_at_unity(self, tmp_path):
