@@ -279,8 +279,11 @@ def gamma_quadrature_array(bath: BathSpec, taus):
                 * 2.0 * math.sin(0.5 * w * tau) ** 2 \
                 * (1.0 / math.tanh(0.5 * theta * w))
 
-        # Keep at most a couple of oscillations in the directly-integrated head.
-        cut = min(1.0, 10.0 / max(tau, 1.0))
+        # Keep at most a couple of oscillations in the directly-integrated
+        # head.  Below tau = 1 the head runs to 10/tau, or to the end: where
+        # n tau << 1 the tail's envelope minus its cosine-weighted integral
+        # would cancel all but a few digits of a value of size A G(n - 1).
+        cut = min(1.0 if tau >= 1.0 else end, 10.0 / tau)
         head = sorted({0.0, cut} | {k for k in knees if k < cut})
         tail = sorted({cut, end} | {k for k in knees if cut < k < end})
         parts = [_quad(full, lo, hi) for lo, hi in zip(head, head[1:])]
