@@ -398,10 +398,11 @@ def gamma_closed_array(bath: BathSpec, taus) -> np.ndarray:
         else:
             out = _series_gamma(A, bath.n, theta, taus)
     if bath.family is BathFamily.MARKOVIAN and not np.isfinite(out).all():
-        # A pi tau may overflow where Gamma does not: rescale it by 2^k
+        # A pi tau may overflow where Gamma does not, and inf * 0 is NaN at
+        # tau = 0: rescale it by 2^k
         (a, i), (t, j), (h, k) = map(np.frexp, (A, taus, theta))
-        out = np.where(np.isinf(out), np.ldexp(a * np.pi * t / h, i + j - k),
-                       out)
+        out = np.where(~np.isfinite(out),
+                       np.ldexp(a * np.pi * t / h, i + j - k), out)
     if not np.isfinite(out).all():
         raise FloatingPointError(f"Gamma overflows for {bath}")
     return np.maximum(out, 0.0)

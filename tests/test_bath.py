@@ -295,13 +295,21 @@ class TestGammaClosed:
             np.testing.assert_allclose(vals, scalars, rtol=1e-13, atol=1e-300)
 
     @pytest.mark.parametrize("bath, tau", [
-        (BathSpec(BathFamily.MARKOVIAN, 1e308, 1e-300), 0.0),
+        (BathSpec(BathFamily.MARKOVIAN, 1e308, 1e-300), 1.0),
         (BathSpec(BathFamily.SUPEROHMIC, 0.5, 1e300), 1.0)],
         ids=["markov", "superohmic"])
     def test_overflow_raises(self, bath, tau):
-        # inf * 0 in the rate law; theta ** k overflows in the series weights
+        # A pi tau / theta = pi 1e608; theta ** k overflows in the series
+        # weights
         with pytest.raises(FloatingPointError, match="overflows"):
             gamma_value(bath, tau)
+
+    def test_rate_law_zero_at_zero_past_rate_overflow(self):
+        # A pi / theta overflows, and Gamma(0) = 0 still, as for every bath
+        bath = BathSpec(BathFamily.MARKOVIAN, 1e308, 1e-300)
+        assert gamma_value(bath, 0.0) == 0.0
+        np.testing.assert_array_equal(
+            gamma_closed_array(bath, np.array([0.0, 0.0])), [0.0, 0.0])
 
     def test_rate_law_finite_past_product_overflow(self):
         # A pi tau overflows, A pi tau / theta does not; wherever A pi tau is
@@ -506,13 +514,15 @@ class TestNoWarningBeforeVerdict:
             BathSpec(BathFamily.POWER_LAW, 0.5, 10.0, n=171.6), 3.0, 10.0),
          FloatingPointError),
         (lambda: gamma_value(BathSpec(BathFamily.MARKOVIAN, 1e308, 1e-300),
-                             0.0), FloatingPointError),
+                             0.0), 0.0),
+        (lambda: gamma_value(BathSpec(BathFamily.MARKOVIAN, 1e308, 1e-300),
+                             1.0), FloatingPointError),
         (lambda: gamma_value(BathSpec(BathFamily.SUPEROHMIC, 0.5, 1e300),
                              1.0), FloatingPointError),
         (lambda: simulate_ensemble(1, 4096, _pair(1e-12)),
          FloatingPointError)],
         ids=["visibility", "windowed", "postselected", "lambda", "markov",
-             "superohmic", "records"])
+             "markov-overflow", "superohmic", "records"])
     def test_result_or_own_exception(self, call, verdict):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
