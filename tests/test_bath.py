@@ -196,8 +196,9 @@ class TestGammaQuadrature:
         np.testing.assert_array_equal(errors,
                                       [v.est_abs_error for v in scalars])
 
-    # the unweighted tail integrals do not depend on tau, and every tau <= 10
-    # has the same panels: [1, end] split at the knees 2/theta and 40/theta
+    # the unweighted tail integrals do not depend on tau, and every tau in
+    # [1, 10] has the same panels: [1, end] split at the knees 2/theta and
+    # 40/theta
     @pytest.mark.parametrize("theta, panels", [(1.0, 3), (10.0, 2), (100.0, 1)])
     def test_tail_panels_integrated_once_per_call(self, monkeypatch, theta,
                                                   panels):
