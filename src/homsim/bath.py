@@ -240,6 +240,27 @@ def _quad(f, lo, hi, **weight):
         raise QuadratureError(f"quadrature node at w = 0: {exc}") from exc
 
 
+class _Envelope(dict):
+    """Gamma's tail integrand A (r w)^p e^(u-w) coth(theta w / 2) at each
+    node w it is asked for, evaluated once and kept: its bound __getitem__,
+    passed to QUADPACK, answers a repeated node with a dict lookup that runs
+    no Python frame.  One table lives for one gamma_quadrature_array call.
+    """
+
+    def __init__(self, A, theta, p, r, u):
+        super().__init__()
+        self.args = A, theta, p, r, u
+
+    # math, not numpy, throughout the integrands: QUADPACK calls them once
+    # per node on a Python float, where one numpy ufunc call costs as much as
+    # the rest of the integrand
+    def __missing__(self, w):
+        A, theta, p, r, u = self.args
+        value = self[w] = A * (r * w) ** p * math.exp(u - w) \
+            * (1.0 / math.tanh(0.5 * theta * w))
+        return value
+
+
 def gamma_quadrature_array(bath: BathSpec, taus):
     """Decoherence function by adaptive quadrature over (0, inf), with its
     absolute error estimate, at each click separation: (values, errors).
@@ -251,8 +272,10 @@ def gamma_quadrature_array(bath: BathSpec, taus):
     40/theta; panels are split at both points, so that no panel is wide
     enough for its error estimate to miss the turnover.  The tail's
     unweighted integral does not depend on tau, so each distinct tail panel
-    is integrated once per call.  A QuadratureError names the tau it
-    failed at.
+    is integrated once per call; every tail panel is bisected from the same
+    ends, so its nodes repeat from one tau to the next, and the tail
+    integrand is evaluated once per node per call (_Envelope).  A
+    QuadratureError names the tau it failed at.
     """
     _require_integrable(bath, "gamma_quadrature")
     taus = np.asarray(_times(taus))
@@ -264,13 +287,7 @@ def gamma_quadrature_array(bath: BathSpec, taus):
     end, p, r, u, c = _spectral_panels(bath.n)
     knees = {2.0 / theta, 40.0 / theta}
     tails = {}  # (lo, hi) -> the envelope's integral over that tail panel
-
-    # math, not numpy, throughout the integrands: QUADPACK calls them once
-    # per node on a Python float, where one numpy ufunc call costs as much as
-    # the rest of the integrand
-    def envelope(w):
-        return A * (r * w) ** p * math.exp(u - w) \
-            * (1.0 / math.tanh(0.5 * theta * w))
+    envelope = _Envelope(A, theta, p, r, u).__getitem__
 
     def one(tau):
         def full(w):
@@ -431,7 +448,9 @@ def _sine_transform(A, n, t):
     def envelope(w):
         return A * (r * w) ** p * math.exp(u - w)
 
-    cut = min(1.0, 10.0 / max(t, 1.0))
+    # the head of gamma_quadrature_array: below t = 1 it runs to 10/t, or to
+    # the end, so that the tail's sine-weighted integral cancels nothing
+    cut = min(1.0 if t >= 1.0 else end, 10.0 / t)
     head, e1 = _quad(head_f, 0.0, cut)
     osc, e2 = _quad(envelope, cut, end, weight="sin", wvar=t)
     return c * (head + osc), c * (e1 + e2)

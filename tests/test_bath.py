@@ -206,7 +206,9 @@ class TestGammaQuadrature:
         quad = bath_module._quad
 
         def counting(f, lo, hi, **weight):
-            if f.__name__ == "envelope" and not weight:
+            # the tail integrand is an _Envelope table's lookup
+            if isinstance(getattr(f, "__self__", None), bath_module._Envelope) \
+                    and not weight:
                 calls[lo, hi] += 1
             return quad(f, lo, hi, **weight)
 
@@ -215,6 +217,48 @@ class TestGammaQuadrature:
                                np.linspace(1.0, 10.0, 100))
         assert len(calls) == panels
         assert set(calls.values()) == {1}
+
+    # every tail panel is bisected from the same ends, so QUADPACK asks for
+    # the same nodes at every tau; each is evaluated once per call
+    def test_envelope_evaluated_once_per_node(self, monkeypatch):
+        asked, evaluated = collections.Counter(), collections.Counter()
+        quad, missing = bath_module._quad, bath_module._Envelope.__missing__
+
+        def counting_missing(self, w):
+            evaluated[w] += 1
+            return missing(self, w)
+
+        def recording(f, lo, hi, **weight):
+            if isinstance(getattr(f, "__self__", None), bath_module._Envelope):
+                def asking(w):
+                    asked[w] += 1
+                    return f(w)
+                return quad(asking, lo, hi, **weight)
+            return quad(f, lo, hi, **weight)
+
+        monkeypatch.setattr(bath_module._Envelope, "__missing__",
+                            counting_missing)
+        monkeypatch.setattr(bath_module, "_quad", recording)
+        gamma_quadrature_array(SUPER, np.linspace(0.0, 10.0, 100))
+        assert set(evaluated) == set(asked)
+        assert set(evaluated.values()) == {1}
+        assert sum(asked.values()) > 10 * len(asked)
+
+    # a table kept past its call would hand the second bath the first one's
+    # envelope; n = 150 takes the scaled form, c != 1
+    @pytest.mark.parametrize("first, second", [
+        (SUPER, BathSpec(BathFamily.POWER_LAW, 0.5, 300.0, n=150.0)),
+        (BathSpec(BathFamily.POWER_LAW, 0.5, 300.0, n=150.0), SUPER),
+        (SUPER, BathSpec(BathFamily.SUPEROHMIC, 0.5, 1.0))],
+        ids=["super-then-150", "150-then-super", "theta-10-then-1"])
+    def test_no_table_outlives_its_call(self, first, second):
+        taus = np.array([0.01, 0.5, 1.0, 2.5, 10.0])
+        gamma_quadrature_array(first, taus)
+        values, errors = gamma_quadrature_array(second, taus)
+        scalars = [gamma_quadrature(second, tau) for tau in taus]
+        np.testing.assert_array_equal(values, [v.gamma_big for v in scalars])
+        np.testing.assert_array_equal(errors,
+                                      [v.est_abs_error for v in scalars])
 
     def test_array_failure_is_quadrature_error(self):
         bath = BathSpec(BathFamily.POWER_LAW, 0.5, 10.0, n=2.0)
@@ -407,6 +451,31 @@ class TestKernelProperties:
             closed = gamma_closed_array(bath, taus)
             assert np.all(np.abs(closed - values)
                           <= errors + 1e-12 * np.maximum(1.0, closed)), theta
+
+    # Lambda's sine transform has Gamma's head, min(end, 10/tau) below
+    # tau = 1; at t1 = 0, tau = 1e-3 and n = 15 or 25, A tau Gamma(n)
+    # cancels against S(tau), which no head mends, and past n = 171 both
+    # forms overflow at the larger tau.  The tolerance is relative to the
+    # largest term, A tau Gamma(n), which the value may cancel to digits
+    @pytest.mark.parametrize("n", [1.05, 2.0, 2.5, 3.0, 6.0, 10.0, 15.0, 25.0,
+                                   60.0, 120.0, 171.6])
+    def test_lambda_oracle_covers_large_exponent_small_tau(self, n):
+        for theta in (0.5, 10.0, 300.0):
+            bath = BathSpec(BathFamily.POWER_LAW, 0.5, theta, n=n)
+            for tau in np.geomspace(1e-3, 1e3, 13).tolist():
+                if n in (15.0, 25.0) and tau == 1e-3:
+                    with pytest.raises(QuadratureError, match="absolute error"):
+                        lambda_phase(bath, 0.0, tau)
+                    continue
+                try:
+                    closed = lambda_phase_closed(bath, 0.0, tau)
+                except FloatingPointError:
+                    with pytest.raises(QuadratureError, match="non-finite"):
+                        lambda_phase(bath, 0.0, tau)
+                    continue
+                quad = lambda_phase(bath, 0.0, tau)
+                scale = max(1.0, abs(closed), bath.A * tau * special.gamma(n))
+                assert abs(closed - quad) <= 1e-12 * scale, (theta, tau)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(n=_EXPONENT, theta=_THETA, t1=st.floats(0.0, 1e3), tau=_TAU)
