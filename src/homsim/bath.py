@@ -448,8 +448,9 @@ def _sine_transform(A, n, t):
     def envelope(w):
         return A * (r * w) ** p * math.exp(u - w)
 
-    # the head of gamma_quadrature_array: below t = 1 it runs to 10/t, or to
-    # the end, so that the tail's sine-weighted integral cancels nothing
+    # gamma_quadrature_array's head: below t = 1 it runs to 10/t, or to the
+    # end; from w = 1 the sine-weighted rule missed the error bound at large
+    # n and small t
     cut = min(1.0 if t >= 1.0 else end, 10.0 / t)
     head, e1 = _quad(head_f, 0.0, cut)
     osc, e2 = _quad(envelope, cut, end, weight="sin", wvar=t)

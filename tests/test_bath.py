@@ -207,8 +207,8 @@ class TestGammaQuadrature:
 
         def counting(f, lo, hi, **weight):
             # the tail integrand is an _Envelope table's lookup
-            if isinstance(getattr(f, "__self__", None), bath_module._Envelope) \
-                    and not weight:
+            table = getattr(f, "__self__", None)
+            if isinstance(table, bath_module._Envelope) and not weight:
                 calls[lo, hi] += 1
             return quad(f, lo, hi, **weight)
 
@@ -464,7 +464,7 @@ class TestKernelProperties:
             bath = BathSpec(BathFamily.POWER_LAW, 0.5, theta, n=n)
             for tau in np.geomspace(1e-3, 1e3, 13).tolist():
                 if n in (15.0, 25.0) and tau == 1e-3:
-                    with pytest.raises(QuadratureError, match="absolute error"):
+                    with pytest.raises(QuadratureError, match="reached only"):
                         lambda_phase(bath, 0.0, tau)
                     continue
                 try:
