@@ -45,6 +45,7 @@ scipy.special and scipy.integrate are loaded on first use, not on import.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -240,25 +241,16 @@ def _quad(f, lo, hi, **weight):
         raise QuadratureError(f"quadrature node at w = 0: {exc}") from exc
 
 
-class _Envelope(dict):
-    """Gamma's tail integrand A (r w)^p e^(u-w) coth(theta w / 2) at each
-    node w it is asked for, evaluated once and kept: its bound __getitem__,
-    passed to QUADPACK, answers a repeated node with a dict lookup that runs
-    no Python frame.  One table lives for one gamma_quadrature_array call.
+def _head_cut(t: float, end: float) -> float:
+    """Where the quadrature oracles' directly integrated head ends at click
+    separation t > 0; a weighted rule takes the tail from there.
+
+    From t = 1 the head keeps at most a couple of oscillations: w = 1, or
+    10/t past t = 10.  Below t = 1 it runs to 10/t, or to the end: where
+    n t << 1 the tail's envelope minus its weighted integral would cancel
+    all but a few digits of a value of size A G(n - 1).
     """
-
-    def __init__(self, A, theta, p, r, u):
-        super().__init__()
-        self.args = A, theta, p, r, u
-
-    # math, not numpy, throughout the integrands: QUADPACK calls them once
-    # per node on a Python float, where one numpy ufunc call costs as much as
-    # the rest of the integrand
-    def __missing__(self, w):
-        A, theta, p, r, u = self.args
-        value = self[w] = A * (r * w) ** p * math.exp(u - w) \
-            * (1.0 / math.tanh(0.5 * theta * w))
-        return value
+    return min(1.0 if t >= 1.0 else end, 10.0 / t)
 
 
 def gamma_quadrature_array(bath: BathSpec, taus):
@@ -272,9 +264,10 @@ def gamma_quadrature_array(bath: BathSpec, taus):
     40/theta; panels are split at both points, so that no panel is wide
     enough for its error estimate to miss the turnover.  The tail's
     unweighted integral does not depend on tau, so each distinct tail panel
-    is integrated once per call; every tail panel is bisected from the same
-    ends, so its nodes repeat from one tau to the next, and the tail
-    integrand is evaluated once per node per call (_Envelope).  A
+    is integrated once per call.  A tail panel that starts at w = 1 or at a
+    knee is shared by many tau, and QUADPACK bisects it from the same ends
+    at each, so its nodes repeat: there the cosine-weighted rule takes the
+    envelope from a table of the nodes met so far in the call.  A
     QuadratureError names the tau it failed at.
     """
     _require_integrable(bath, "gamma_quadrature")
@@ -287,7 +280,19 @@ def gamma_quadrature_array(bath: BathSpec, taus):
     end, p, r, u, c = _spectral_panels(bath.n)
     knees = {2.0 / theta, 40.0 / theta}
     tails = {}  # (lo, hi) -> the envelope's integral over that tail panel
-    envelope = _Envelope(A, theta, p, r, u).__getitem__
+    shared = knees | {1.0}  # where a tail panel of more than one tau starts
+
+    # math, not numpy, throughout the integrands: QUADPACK calls them once
+    # per node on a Python float, where one numpy ufunc call costs as much as
+    # the rest of the integrand
+    def envelope(w):
+        return A * (r * w) ** p * math.exp(u - w) \
+            * (1.0 / math.tanh(0.5 * theta * w))
+
+    # a repeated node is a lookup in C, and the table dies with the call;
+    # one tau repeats no node, where the table would only cost its inserts
+    kept = functools.lru_cache(maxsize=None)(envelope) if taus.size > 1 \
+        else envelope
 
     def one(tau):
         def full(w):
@@ -296,11 +301,7 @@ def gamma_quadrature_array(bath: BathSpec, taus):
                 * 2.0 * math.sin(0.5 * w * tau) ** 2 \
                 * (1.0 / math.tanh(0.5 * theta * w))
 
-        # Keep at most a couple of oscillations in the directly-integrated
-        # head.  Below tau = 1 the head runs to 10/tau, or to the end: where
-        # n tau << 1 the tail's envelope minus its cosine-weighted integral
-        # would cancel all but a few digits of a value of size A G(n - 1).
-        cut = min(1.0 if tau >= 1.0 else end, 10.0 / tau)
+        cut = _head_cut(tau, end)
         head = sorted({0.0, cut} | {k for k in knees if k < cut})
         tail = sorted({cut, end} | {k for k in knees if cut < k < end})
         parts = [_quad(full, lo, hi) for lo, hi in zip(head, head[1:])]
@@ -308,7 +309,8 @@ def gamma_quadrature_array(bath: BathSpec, taus):
             if (lo, hi) not in tails:
                 tails[lo, hi] = _quad(envelope, lo, hi)
             parts.append(tails[lo, hi])
-            osc, e = _quad(envelope, lo, hi, weight="cos", wvar=tau)
+            osc, e = _quad(kept if lo in shared else envelope, lo, hi,
+                           weight="cos", wvar=tau)
             parts.append((-osc, e))
         err = c * sum(e for _, e in parts)
         return _checked("gamma", c * math.fsum(v for v, _ in parts), err), err
@@ -448,10 +450,7 @@ def _sine_transform(A, n, t):
     def envelope(w):
         return A * (r * w) ** p * math.exp(u - w)
 
-    # gamma_quadrature_array's head: below t = 1 it runs to 10/t, or to the
-    # end; from w = 1 the sine-weighted rule missed the error bound at large
-    # n and small t
-    cut = min(1.0 if t >= 1.0 else end, 10.0 / t)
+    cut = _head_cut(t, end)
     head, e1 = _quad(head_f, 0.0, cut)
     osc, e2 = _quad(envelope, cut, end, weight="sin", wvar=t)
     return c * (head + osc), c * (e1 + e2)

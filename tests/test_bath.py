@@ -206,9 +206,7 @@ class TestGammaQuadrature:
         quad = bath_module._quad
 
         def counting(f, lo, hi, **weight):
-            # the tail integrand is an _Envelope table's lookup
-            table = getattr(f, "__self__", None)
-            if isinstance(table, bath_module._Envelope) and not weight:
+            if f.__name__ == "envelope" and not weight:
                 calls[lo, hi] += 1
             return quad(f, lo, hi, **weight)
 
@@ -218,31 +216,51 @@ class TestGammaQuadrature:
         assert len(calls) == panels
         assert set(calls.values()) == {1}
 
-    # every tail panel is bisected from the same ends, so QUADPACK asks for
-    # the same nodes at every tau; each is evaluated once per call
-    def test_envelope_evaluated_once_per_node(self, monkeypatch):
-        asked, evaluated = collections.Counter(), collections.Counter()
-        quad, missing = bath_module._quad, bath_module._Envelope.__missing__
-
-        def counting_missing(self, w):
-            evaluated[w] += 1
-            return missing(self, w)
+    @staticmethod
+    def _node_tables(monkeypatch, asked=None):
+        """The per-call node tables gamma_quadrature_array hands QUADPACK,
+        and, into asked, how often each of their nodes was asked for."""
+        tables, quad = [], bath_module._quad
 
         def recording(f, lo, hi, **weight):
-            if isinstance(getattr(f, "__self__", None), bath_module._Envelope):
-                def asking(w):
-                    asked[w] += 1
-                    return f(w)
-                return quad(asking, lo, hi, **weight)
-            return quad(f, lo, hi, **weight)
+            if not hasattr(f, "cache_info"):
+                return quad(f, lo, hi, **weight)
+            if f not in tables:
+                tables.append(f)
 
-        monkeypatch.setattr(bath_module._Envelope, "__missing__",
-                            counting_missing)
+            def asking(w):
+                asked[w] += 1
+                return f(w)
+            return quad(f if asked is None else asking, lo, hi, **weight)
+
         monkeypatch.setattr(bath_module, "_quad", recording)
+        return tables
+
+    # a tail panel from w = 1 or a knee is bisected from the same ends at
+    # every tau, so QUADPACK asks for the same nodes; each is evaluated once
+    # per call
+    def test_envelope_evaluated_once_per_node(self, monkeypatch):
+        asked = collections.Counter()
+        tables = self._node_tables(monkeypatch, asked)
         gamma_quadrature_array(SUPER, np.linspace(0.0, 10.0, 100))
-        assert set(evaluated) == set(asked)
-        assert set(evaluated.values()) == {1}
+        (table,) = tables
+        assert table.cache_info().misses == len(asked)
         assert sum(asked.values()) > 10 * len(asked)
+
+    # above tau = 10 (and in (1/6, 1)) each row's first tail panel starts at
+    # its own 10/tau; those nodes stay out of the table, which holds a few
+    # hundred nodes whatever the number of rows
+    def test_node_table_does_not_grow_with_rows(self, monkeypatch):
+        tables = self._node_tables(monkeypatch)
+        gamma_quadrature_array(SUPER, np.linspace(0.0, 1000.0, 2000))
+        (table,) = tables
+        assert 0 < table.cache_info().currsize < 1000
+
+    # one tau repeats no node
+    def test_one_tau_takes_no_table(self, monkeypatch):
+        tables = self._node_tables(monkeypatch)
+        gamma_quadrature(SUPER, 2.5)
+        assert tables == []
 
     # a table kept past its call would hand the second bath the first one's
     # envelope; n = 150 takes the scaled form, c != 1
